@@ -33,7 +33,13 @@ def _load_pointset(path: str) -> WeightedPointSet:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    try:
+        point = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"--point needs comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"--point coordinates must be finite, got {text!r}")
+    return point
 
 
 def _parse_decay(text: str) -> DecayProfile:
@@ -56,6 +62,9 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+DEPTH_ENGINES = ("auto", "exact1d", "sweep2d", "oracle", "sampled")
+
+
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", help="JSON experiment config file")
@@ -75,14 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("depth", help="depth of a point in a stored distribution")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--point", required=True)
-    sp.add_argument("--engine", default="auto",
-                    choices=("auto", "exact1d", "sweep2d", "oracle", "sampled"))
+    sp.add_argument("--engine", default="auto", choices=DEPTH_ENGINES)
     sp.add_argument("--budget", type=int, default=2048)
     _add_common(sp)
 
     sp = subs.add_parser("median", help="approximate Tukey median of a distribution")
     sp.add_argument("--dist", required=True)
-    sp.add_argument("--engine", default="auto")
+    sp.add_argument("--engine", default="auto", choices=DEPTH_ENGINES)
     sp.add_argument("--budget", type=int, default=2048)
     _add_common(sp)
 

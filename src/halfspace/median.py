@@ -153,15 +153,15 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     eng = _resolve_engine(merged, probe_evals, engine)
     if eng == "sampled":
         dirs = direction_battery(merged.points, budget, gen, anchor="difference")
-        score = BatteryScorer(merged, dirs).score
+        scores = BatteryScorer(merged, dirs).scores
     else:
-        def score(x):
-            return compute_depth(merged, x, engine=eng).value
+        def scores(xs):
+            return np.array([compute_depth(merged, x, engine=eng).value for x in xs])
 
     diameter = float(np.linalg.norm(np.ptp(merged.points, axis=0)))
     if steps == 0:
-        return MedianResult(start, score(start), 1, "refined")
+        return MedianResult(start, float(scores(start[None, :])[0]), 1, "refined")
     point, neg_depth, evals = pattern_search_min(
-        lambda x: -score(x), start, initial_step=diameter / 4.0, rng=gen,
+        lambda xs: -scores(xs), start, initial_step=diameter / 4.0, rng=gen,
         levels=8, max_moves=steps)
     return MedianResult(point, -neg_depth, evals, "refined")

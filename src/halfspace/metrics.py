@@ -257,18 +257,18 @@ def decay_for(dist: NamedDistribution, budget: int = 2048, rng: RngLike = 0) -> 
 def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
     """Exact total variation between atomic distributions.
 
-    Atoms are aligned by exact coordinate match; the value is the summed
-    positive part of the weight differences.
+    Atoms are aligned by exact coordinate value (so ``-0.0`` meets ``0.0``);
+    the value is the summed positive part of the weight differences.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     pc = p.consolidate()
     qc = q.consolidate()
-    table: dict[bytes, float] = {}
-    for pt, w in zip(pc.points, pc.weights):
-        table[pt.tobytes()] = table.get(pt.tobytes(), 0.0) + float(w)
-    for pt, w in zip(qc.points, qc.weights):
-        table[pt.tobytes()] = table.get(pt.tobytes(), 0.0) - float(w)
+    table: dict[tuple, float] = {}
+    for pt, w in zip(pc.points.tolist(), pc.weights):
+        table[tuple(pt)] = table.get(tuple(pt), 0.0) + float(w)
+    for pt, w in zip(qc.points.tolist(), qc.weights):
+        table[tuple(pt)] = table.get(tuple(pt), 0.0) - float(w)
     return sum(v for v in table.values() if v > 0)
 
 

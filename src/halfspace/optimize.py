@@ -13,11 +13,19 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
                        box: np.ndarray | None = None):
     """Minimize ``f`` from ``x0``.
 
-    Per iteration the probe set is the 2d axis steps plus 2d random unit
-    steps (4d probes); a probe is accepted only on strict improvement, and
-    the step halves once no probe improves. ``box`` (d, 2) clips probes.
+    ``f`` is a batched objective: it takes an (m, d) array of points and
+    returns their m values, in row order. The start is evaluated as a batch
+    of one; each iteration evaluates all of its probes in one call.
 
-    Returns ``(x, f(x), evaluations)``.
+    Per iteration the probe set is the 2d axis steps (``+e_i``, ``-e_i`` for
+    each axis in turn) plus 2d random unit steps (4d probes); ``box`` (d, 2)
+    clips every probe. The iteration moves to the first probe, in that order,
+    whose value is the strict minimum below the current one, which is the
+    move a probe-by-probe loop with strict-improvement acceptance would make;
+    the step halves once no probe improves.
+
+    Returns ``(x, f(x), evaluations)`` with ``f(x)`` a Python float and
+    ``evaluations`` counting every probed point, the start included.
     """
 
     def clip(x):
@@ -26,33 +34,27 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
         return np.clip(x, box[:, 0], box[:, 1])
 
     x = clip(np.asarray(x0, dtype=float).copy())
-    fx = f(x)
+    fx = float(f(x[None, :])[0])
     evals = 1
     d = x.shape[0]
+    axes = np.repeat(np.eye(d), 2, axis=0)
+    axes[1::2] *= -1.0                               # +e_0, -e_0, +e_1, ...
     step = float(initial_step) if initial_step > 0 else 1.0
     moves = 0
     for _ in range(levels):
         while moves < max_moves:
-            probes = []
-            for i in range(d):
-                e = np.zeros(d)
-                e[i] = step
-                probes.append(x + e)
-                probes.append(x - e)
             raw = rng.standard_normal((2 * d, d))
             norms = np.linalg.norm(raw, axis=1)
             norms[norms == 0.0] = 1.0
-            probes.extend(x + step * raw / norms[:, None])
-            best_fp, best_xp = fx, None
-            for xp in probes:
-                xp = clip(xp)
-                fp = f(xp)
-                evals += 1
-                if fp < best_fp:
-                    best_fp, best_xp = fp, xp
-            if best_xp is None:
+            probes = clip(np.vstack([x + axes * step, x + step * raw / norms[:, None]]))
+            values = np.asarray(f(probes))
+            evals += len(probes)
+            # a NaN never improves, as in a probe-by-probe comparison
+            values = np.where(values < fx, values, np.inf)
+            best = int(np.argmin(values))
+            if not values[best] < fx:
                 break
-            x, fx = best_xp, best_fp
+            x, fx = probes[best], float(values[best])
             moves += 1
         step *= shrink
     return x, fx, evals

@@ -168,6 +168,11 @@ class _BatteryObjective:
         d_minus = np.max(f - self._emp_left32)
         return float(max(d_plus, d_minus, 0.0))
 
+    def batch(self, mus: np.ndarray) -> np.ndarray:
+        """Objective at each row of ``mus`` (m, d), one center at a time, so
+        no per-probe temporary is ever stacked m deep."""
+        return np.array([self(mu) for mu in mus])
+
     def _discrete_sup(self, t0: np.ndarray) -> float:
         # Exact sup between two step CDFs: evaluate right limits and left
         # limits of both at the union of their jump points. Inputs are
@@ -237,7 +242,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         align = np.unique(align.reshape(-1, p_hat.dim), axis=0)
         if len(align) > 4096:
             align = align[gen.choice(len(align), size=4096, replace=False)]
-        align_scores = np.array([objective(clip(a)) for a in align])
+        align_scores = objective.batch(clip(align))
         for idx in np.argsort(align_scores, kind="stable")[:4]:
             start_points.append(clip(align[idx]))
     diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
@@ -245,7 +250,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     total_evals = (len(align_scores)
                    if family.template.variant == DISCRETE_ATOMS else 0)
     for x0 in start_points:
-        x, fx, evals = pattern_search_min(objective, np.asarray(x0, dtype=float),
+        x, fx, evals = pattern_search_min(objective.batch, np.asarray(x0, dtype=float),
                                           initial_step=diameter / 4.0, rng=gen,
                                           levels=8, max_moves=steps, box=box)
         total_evals += evals

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import halfspace as hs
+from halfspace.depth import BatteryScorer, _stable_argsort_rows
 from halfspace.model import WeightedPointSet
 
 
@@ -201,3 +202,71 @@ class TestBatteryScorer:
         # every score is a genuine halfspace mass, hence an upper bound
         for point, score in zip(p.points[:10], scorer[:10]):
             assert score >= hs.depth_oracle(p, point).value - 1e-12
+
+    @staticmethod
+    def column_layout_scores(p, dirs, candidates):
+        """Reference: projections in (n, c) columns, a stable column
+        argsort, and one unsorted-key binary search per direction."""
+        proj = p.points @ dirs.T
+        order = np.argsort(proj, axis=0, kind="stable")
+        sorted_proj = np.take_along_axis(proj, order, axis=0)
+        suffix = np.zeros((p.size + 1, len(dirs)))
+        suffix[:-1] = np.cumsum(p.weights[order][::-1], axis=0)[::-1]
+        cand_proj = candidates @ dirs.T
+        best = np.full(len(candidates), np.inf)
+        for j in range(len(dirs)):
+            pos = np.searchsorted(sorted_proj[:, j], cand_proj[:, j], side="left")
+            np.minimum(best, suffix[pos, j], out=best)
+        return best
+
+    def test_matches_brute_force_with_ties(self):
+        # Integer atoms, integer directions and dyadic weights keep every
+        # projection and every partial sum exact, so the binary search must
+        # reproduce the closed-halfspace count bit for bit. Duplicate atoms
+        # and queries placed on atoms put ties at projection 0.
+        rng = np.random.default_rng(11)
+        pts = rng.integers(-2, 3, size=(40, 3)).astype(float)
+        pts[20:30] = pts[:10]
+        w = rng.integers(1, 4, size=40) / 128.0
+        w[-1] = 1.0 - w[:-1].sum()
+        p = WeightedPointSet(pts, w)
+        dirs = rng.integers(-2, 3, size=(60, 3)).astype(float)
+        dirs = dirs[np.abs(dirs).sum(axis=1) > 0]
+        queries = np.vstack([pts, rng.integers(-3, 4, size=(30, 3)), 0.5 * pts[:10]])
+        want = np.array([np.min(((p.points - q) @ dirs.T >= 0.0).T @ p.weights)
+                         for q in queries])
+        got = BatteryScorer(p, dirs).scores(queries)
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_argsort_is_the_stable_one(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(-3, 4, size=(40, 300)).astype(float)   # many ties
+        a[5] = rng.standard_normal(300)                           # no ties
+        a[6, ::2] = -0.0                                          # signed zeros
+        a[7, ::3] = np.nan
+        a[8, ::5] = np.inf
+        a[8, 1::5] = -np.inf
+        a[9] = 0.0
+        order, ranked = _stable_argsort_rows(a)
+        want = np.argsort(a, axis=1, kind="stable")
+        assert np.array_equal(order, want)
+        assert ranked.tobytes() == np.take_along_axis(a, want, axis=1).tobytes()
+
+    def test_chunked_build_matches_column_layout(self):
+        # ~1500 directions at n = 2000 span two construction chunks
+        rng = hs.make_rng(3)
+        pts = rng.standard_normal((2000, 3))
+        pts[1000:1100] = pts[:100]
+        w = rng.random(2000)
+        p = WeightedPointSet(pts, w / w.sum())
+        dirs = hs.direction_battery(pts, 512, hs.make_rng(4), anchor="difference")
+        assert len(dirs) > 2_000_000 // p.size
+        queries = np.vstack([pts[:50], rng.standard_normal((50, 3))])
+        scorer = BatteryScorer(p, dirs)
+        want = self.column_layout_scores(p, dirs, queries)
+        assert scorer.scores(queries).tobytes() == want.tobytes()
+        # a lone query is projected by a matrix-vector product, whose last
+        # bit can differ from the batched one, so it has its own reference
+        for q in queries[:5]:
+            one = self.column_layout_scores(p, dirs, q[None, :])
+            assert np.float64(scorer.score(q)).tobytes() == one.tobytes()

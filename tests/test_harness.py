@@ -200,6 +200,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["point"] == [0.0, 0.0, 0.0]
 
+    def test_median_unknown_engine_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sq.csv"
+        path.write_text(hs.square_distribution().atoms_absolute().to_csv())
+        assert main(["median", "--dist", str(path), "--engine", "bogus"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "-inf,0,0", "1,x,0"])
+    def test_depth_bad_point_exits_2(self, tmp_path, capsys, point):
+        path = tmp_path / "sq.csv"
+        path.write_text(hs.square_distribution().atoms_absolute().to_csv())
+        assert main(["depth", "--dist", str(path), "--point", point]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_sweep_bias_end_to_end(self, tmp_path):
         cfg = {"estimator": "cwise_median",
                "distribution": {"variant": "gaussian_isotropic", "center": [0, 0, 0],

@@ -122,6 +122,13 @@ class TestDistances:
     def test_tv_disjoint_deltas(self):
         assert hs.tv_distance(WeightedPointSet.delta([0.0]), WeightedPointSet.delta([1.0])) == 1.0
 
+    def test_tv_aligns_signed_zeros(self):
+        zero, neg_zero = WeightedPointSet.delta([0.0]), WeightedPointSet.delta([-0.0])
+        assert hs.tv_distance(zero, neg_zero) == 0.0
+        plane = WeightedPointSet.from_points([[1.0, 0.0], [2.0, -0.0]])
+        flipped = WeightedPointSet.from_points([[1.0, -0.0], [2.0, 0.0]])
+        assert hs.tv_distance(plane, flipped) == 0.0
+
     def test_tv_square_vs_tetrahedron(self):
         p_star, p = hs.attack_tetrahedron(3.0)
         assert hs.tv_distance(p_star, p) == 0.25
