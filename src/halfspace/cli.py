@@ -72,8 +72,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--timing", action="store_true",
                      help="record wall-clock ms per row (breaks byte-identical reruns)")
-    sub.add_argument("--workers", type=int, default=0,
-                     help="thread-pool size for sweep trials (output bytes unchanged)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,8 +192,7 @@ def _run(args) -> int:
     if args.command == "sweep-bias":
         config = _require_config(args)
         grid = [float(v) for v in args.eps_grid.split(",")] if args.eps_grid else []
-        _emit_report(run_bias_sweep(config, grid, timing=args.timing,
-                                    workers=args.workers), args)
+        _emit_report(run_bias_sweep(config, grid, timing=args.timing), args)
         return 0
     if args.command == "sweep-breakdown":
         grid = [float(v) for v in args.z_grid.split(",")]
@@ -205,8 +202,7 @@ def _run(args) -> int:
     if args.command == "sweep-scaling":
         config = _require_config(args)
         grid = [int(v) for v in args.n_grid.split(",")]
-        _emit_report(run_scaling(config, grid, timing=args.timing,
-                                 workers=args.workers), args)
+        _emit_report(run_scaling(config, grid, timing=args.timing), args)
         return 0
     raise ConfigError(f"unknown subcommand {args.command!r}")
 

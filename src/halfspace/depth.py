@@ -384,6 +384,19 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     return DepthResult(_closed_mass(offsets, p.weights, best_v), best_v, "sampled")
 
 
+def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """(c, m) projections of ``points`` (m, d) on ``dirs`` (c, d).
+
+    The sum runs coordinate by coordinate, so every entry has the same bits
+    whatever else is in the batch; a matrix product may round a lone row
+    differently, which would let a query on an atom miss its own weight.
+    """
+    out = dirs[:, :1] * points[:, 0]
+    for k in range(1, points.shape[1]):
+        out += dirs[:, k:k + 1] * points[:, k]
+    return out
+
+
 def _stable_argsort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.argsort(a, axis=1, kind="stable")`` and the sorted rows.
 
@@ -427,7 +440,7 @@ class BatteryScorer:
         chunk_size = max(1, 2_000_000 // max(1, p.size))
         for start in range(0, len(dirs), chunk_size):
             chunk = dirs[start:start + chunk_size]
-            proj = np.ascontiguousarray((p.points @ chunk.T).T)    # (c, n)
+            proj = _project_rows(p.points, chunk)
             order, sorted_proj = _stable_argsort_rows(proj)
             w_sorted = p.weights[order]
             suffix = np.zeros((chunk.shape[0], p.size + 1))
@@ -439,24 +452,19 @@ class BatteryScorer:
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         best = np.full(candidates.shape[0], math.inf)
         pos = np.empty(candidates.shape[0], dtype=np.intp)
+        rows = max(1, 1_000_000 // max(1, candidates.shape[0]))  # bounds projection temporaries
         for chunk, sorted_proj, suffix in self._chunks:
-            cand_proj = candidates @ chunk.T         # (m, c)
-            for j in range(chunk.shape[0]):
-                # binary searches for ascending keys narrow each other's range
-                col = cand_proj[:, j]
-                order = np.argsort(col)
-                pos[order] = np.searchsorted(sorted_proj[j], col[order], side="left")
-                np.minimum(best, suffix[j, pos], out=best)
+            for start in range(0, chunk.shape[0], rows):
+                cand_proj = _project_rows(candidates, chunk[start:start + rows])
+                for j, col in enumerate(cand_proj, start):
+                    # binary searches for ascending keys narrow each other's range
+                    order = np.argsort(col)
+                    pos[order] = np.searchsorted(sorted_proj[j], col[order], side="left")
+                    np.minimum(best, suffix[j, pos], out=best)
         return best
 
     def score(self, point: np.ndarray) -> float:
         return float(self.scores(point[None, :])[0])
-
-
-def battery_scores(p: WeightedPointSet, dirs: np.ndarray,
-                   candidates: np.ndarray) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`BatteryScorer`."""
-    return BatteryScorer(p, dirs).scores(candidates)
 
 
 def compute_depth(p: WeightedPointSet, mu, engine: str = "auto", budget: int = 2048,

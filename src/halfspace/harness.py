@@ -2,10 +2,9 @@
 scaling, with deterministic CSV/JSON reporting.
 
 Reports are byte-identical across reruns with the same config and seed:
-every trial owns a split seed, rows are assembled in trial-index order (also
-under ``workers > 1``, where trials run in a thread pool), and wall-clock
-timing is opt-in (the ``ms`` column is 0 unless ``timing=True``), since
-measured time can never be reproducible.
+every trial owns a split seed, rows are assembled in trial-index order, and
+wall-clock timing is opt-in (the ``ms`` column is 0 unless ``timing=True``),
+since measured time can never be reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -267,20 +265,10 @@ def _meta(config: ExperimentConfig, kind: str) -> dict[str, str]:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _run_trials(tasks, worker, workers: int) -> list[ReportRow]:
-    """Run independent trial closures, preserving task order in the output."""
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def run_bias_sweep(config: ExperimentConfig, eps_grid: Sequence[float],
-                   timing: bool = False, workers: int = 0) -> ExperimentReport:
+                   timing: bool = False) -> ExperimentReport:
     """For each corruption level and trial: sample, corrupt, estimate, and
-    record the error next to the matching theoretical bound. Trials are
-    independent; ``workers > 1`` runs them in a thread pool with unchanged
-    output bytes."""
+    record the error next to the matching theoretical bound."""
     for eps in eps_grid:
         if not 0.0 <= eps < 1.0:
             raise ConfigError("eps grid values must lie in [0, 1)")
@@ -288,8 +276,7 @@ def run_bias_sweep(config: ExperimentConfig, eps_grid: Sequence[float],
     children = spawn_seeds(config.seed, max(1, len(eps_grid) * config.trials))
     center = config.distribution.center
 
-    def one(task) -> ReportRow:
-        trial, eps, e_tilde, bound, ss = task
+    def one(trial, eps, e_tilde, bound, ss) -> ReportRow:
         start = time.perf_counter()
         rng = make_rng(ss)
         p_hat = realize_trial(config, eps, rng)
@@ -300,13 +287,12 @@ def run_bias_sweep(config: ExperimentConfig, eps_grid: Sequence[float],
                          float(np.linalg.norm(point - center)), float(score),
                          float(bound), seed_fingerprint(ss), ms)
 
-    tasks = []
     for i, eps in enumerate(eps_grid):
         e_tilde = _effective_eps(config, eps)
         bound = _bound_for(config, e_tilde)
         for trial in range(config.trials):
-            tasks.append((trial, eps, e_tilde, bound, children[i * config.trials + trial]))
-    report.rows.extend(_run_trials(tasks, one, workers))
+            report.rows.append(one(trial, eps, e_tilde, bound,
+                                   children[i * config.trials + trial]))
     return report
 
 
@@ -419,7 +405,7 @@ def _breakdown_ball(estimator: str, z: float, n: int, budget: int, rng, trial: i
 
 
 def run_scaling(config: ExperimentConfig, n_grid: Sequence[int],
-                timing: bool = False, workers: int = 0) -> ExperimentReport:
+                timing: bool = False) -> ExperimentReport:
     """Fixed corruption level, growing sample size; one row per trial."""
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
@@ -428,8 +414,7 @@ def run_scaling(config: ExperimentConfig, n_grid: Sequence[int],
     children = spawn_seeds(config.seed, max(1, len(n_grid) * config.trials))
     center = config.distribution.center
 
-    def one(task) -> ReportRow:
-        trial, cfg, e_tilde, bound, ss = task
+    def one(trial, cfg, e_tilde, bound, ss) -> ReportRow:
         start = time.perf_counter()
         rng = make_rng(ss)
         p_hat = realize_trial(cfg, eps, rng)
@@ -440,14 +425,12 @@ def run_scaling(config: ExperimentConfig, n_grid: Sequence[int],
                          float(np.linalg.norm(point - center)), float(score),
                          float(bound), seed_fingerprint(ss), ms)
 
-    tasks = []
     for i, n in enumerate(n_grid):
         cfg = replace(config, n=int(n))
         e_tilde = _effective_eps(cfg, eps)
         bound = _bound_for(cfg, e_tilde)
         for trial in range(cfg.trials):
-            tasks.append((trial, cfg, e_tilde, bound, children[i * cfg.trials + trial]))
-    report.rows.extend(_run_trials(tasks, one, workers))
+            report.rows.append(one(trial, cfg, e_tilde, bound, children[i * cfg.trials + trial]))
     return report
 
 

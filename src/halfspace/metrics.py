@@ -16,58 +16,28 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, ndtr, ndtri
 
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Zelen & Severo rational approximation for the standard normal CDF,
-# absolute error below 7.5e-8.
-_P = 0.2316419
-_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-
 
 def normal_cdf(x):
-    """Standard normal CDF, vectorized, absolute error <= 7.5e-8.
-
-    Floating arrays keep their dtype (float32 input stays float32, which the
-    projection hot path relies on); everything else computes in float64.
-    """
-    x = np.asarray(x)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(float)
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + _P * ax)
-    poly = t * (_B[0] + t * (_B[1] + t * (_B[2] + t * (_B[3] + t * _B[4]))))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * ax * ax)
-    upper = 1.0 - pdf * poly
-    out = np.where(x >= 0, upper, 1.0 - upper)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Standard normal CDF in float64 (scipy's ``ndtr``); a float for scalars."""
+    out = ndtr(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_sf(x):
     """Standard normal survival function 1 - CDF."""
-    x = np.asarray(x, dtype=float)
-    out = normal_cdf(-x)
-    return float(out) if np.ndim(out) == 0 else out
+    return normal_cdf(-np.asarray(x, dtype=float))
 
 
-def normal_quantile(y: float, tol: float = 1e-10) -> float:
-    """Inverse standard normal CDF by bisection on :func:`normal_cdf`."""
+def normal_quantile(y: float) -> float:
+    """Inverse standard normal CDF (scipy's ``ndtri``)."""
     if not 0.0 < y < 1.0:
         raise ValueError("quantile needs y strictly inside (0, 1)")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(ndtri(y))
 
 
 def _ball_tail(t, radius: float, dim: int):
@@ -231,16 +201,6 @@ class DecayProfile:
         raise ValueError(f"unknown decay variant {variant!r}")
 
 
-def decay_eval(h: DecayProfile, t: float) -> float:
-    """Worst-direction tail mass h(t)."""
-    return h.eval(t)
-
-
-def generalized_inverse(h: DecayProfile, y: float) -> float:
-    """inf{x >= 0 : h(x) < y}; +inf when no such x exists (and for y <= 0)."""
-    return h.inverse(y)
-
-
 def decay_for(dist: NamedDistribution, budget: int = 2048, rng: RngLike = 0) -> DecayProfile:
     """Decay profile matching a named distribution (analytic where possible)."""
     if dist.variant == "gaussian_isotropic":
@@ -379,9 +339,19 @@ class BoundReport:
     value: float
 
 
+# Bias-bound arguments within this of 0 are rounding noise of their own
+# computation (a few ulps of 1.0): epsilon sits at the breakdown level.
+_BREAKDOWN_ROUNDING = 4.0 * np.finfo(float).eps
+
+
 def _check_eps(eps: float):
     if not 0.0 <= eps < 1.0:
         raise ValueError("corruption level must lie in [0, 1)")
+
+
+def _inverse_or_breakdown(h: DecayProfile, arg: float) -> float:
+    """h^{-1}(arg), or +inf when ``arg`` is not above rounding noise of 0."""
+    return math.inf if arg <= _BREAKDOWN_ROUNDING else h.inverse(arg)
 
 
 def bias_bound_additive(h: DecayProfile, eps: float, d: int) -> BoundReport:
@@ -395,7 +365,7 @@ def bias_bound_additive(h: DecayProfile, eps: float, d: int) -> BoundReport:
         arg = max(shared, (1.0 / 3.0 - eps) / (1.0 - eps))
     else:
         arg = shared
-    value = math.inf if arg <= 0.0 else generalized_inverse(h, arg)
+    value = _inverse_or_breakdown(h, arg)
     return BoundReport("additive", d, eps, value)
 
 
@@ -410,7 +380,7 @@ def bias_bound_tv(h: DecayProfile, eps: float, d: int) -> BoundReport:
         arg = max(shared, 1.0 / 3.0 - eps)
     else:
         arg = shared
-    value = math.inf if arg <= 0.0 else generalized_inverse(h, arg)
+    value = _inverse_or_breakdown(h, arg)
     return BoundReport("tv", d, eps, value)
 
 
@@ -418,7 +388,7 @@ def bias_bound_projection(h: DecayProfile, eps: float, d: int = 0) -> BoundRepor
     """Worst-case bias of the halfspace-metric projection estimator:
     2 h^{-1}(1/2 - eps) for eps < 1/2, +inf beyond."""
     _check_eps(eps)
-    value = math.inf if eps >= 0.5 else 2.0 * generalized_inverse(h, 0.5 - eps)
+    value = 2.0 * _inverse_or_breakdown(h, 0.5 - eps)
     return BoundReport("projection", d, eps, value)
 
 

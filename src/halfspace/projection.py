@@ -20,7 +20,7 @@ import numpy as np
 
 from .depth import direction_battery
 from .median import coordinatewise_median, median_candidates
-from .metrics import DecayProfile, _ball_tail, generalized_inverse, normal_cdf
+from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
 from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
                     WeightedPointSet, as_point)
 from .optimize import pattern_search_min
@@ -62,7 +62,7 @@ class TemplateFamily:
         if tmpl.variant == GAUSSIAN:
             horizon = 8.0 * tmpl.scale
             t_grid = np.linspace(0.0, horizon, _DOMINATION_GRID)
-            return t_grid, np.array([1.0 - normal_cdf(t / tmpl.scale) for t in t_grid])
+            return t_grid, normal_sf(t_grid / tmpl.scale)
         if tmpl.variant == UNIFORM_BALL:
             t_grid = np.linspace(0.0, tmpl.scale, _DOMINATION_GRID)
             return t_grid, _ball_tail(t_grid, tmpl.scale, tmpl.dim)
@@ -126,12 +126,6 @@ class _BatteryObjective:
         self.emp_cdf = np.cumsum(w_sorted, axis=0)
         self.emp_left = self.emp_cdf - w_sorted
         self._emp_w = w_sorted
-        # float32 copies for the analytic-template hot path; the CDF
-        # approximation itself is only accurate to 7.5e-8, so single
-        # precision costs nothing that matters.
-        self._emp_sorted32 = self.emp_sorted.astype(np.float32)
-        self._emp_cdf32 = self.emp_cdf.astype(np.float32)
-        self._emp_left32 = self.emp_left.astype(np.float32)
         tmpl = family.template
         if tmpl.variant == DISCRETE_ATOMS:
             toff = tmpl.atoms.points                           # offsets about center
@@ -155,17 +149,16 @@ class _BatteryObjective:
         if tmpl.variant == UNIFORM_BALL:
             flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf,
                              left=0.0, right=1.0)
-            return flat.reshape(shifted.shape).astype(shifted.dtype)
+            return flat.reshape(shifted.shape)
         raise AssertionError("discrete templates take the step-function path")
 
     def __call__(self, mu: np.ndarray) -> float:
         t0 = self.dirs @ mu                                    # (c,)
         if self.family.template.variant == DISCRETE_ATOMS:
             return self._discrete_sup(t0)
-        shifted = self._emp_sorted32 - t0.astype(np.float32)[None, :]
-        f = self._template_cdf(shifted)
-        d_plus = np.max(self._emp_cdf32 - f)
-        d_minus = np.max(f - self._emp_left32)
+        f = self._template_cdf(self.emp_sorted - t0[None, :])
+        d_plus = np.max(self.emp_cdf - f)
+        d_minus = np.max(f - self.emp_left)
         return float(max(d_plus, d_minus, 0.0))
 
     def batch(self, mus: np.ndarray) -> np.ndarray:
@@ -267,5 +260,5 @@ def certify_projection_bound(result: ProjectionResult, family: TemplateFamily,
     eps_tilde reaches 1/2 (the bound is infinite)."""
     if eps_tilde >= 0.5:
         return True
-    bound = 2.0 * generalized_inverse(family.decay, 0.5 - eps_tilde)
+    bound = 2.0 * family.decay.inverse(0.5 - eps_tilde)
     return bool(np.linalg.norm(result.mu_hat - as_point(true_center)) <= bound)

@@ -125,8 +125,8 @@ def test_criterion_5_gaussian_bias_bounds():
                                 proj_steps=8, proj_tukey_start=False)
     e_tilde = hs.epsilon_tilde(eps, n, d, delta=0.05, c_vc=0.5)
     h = DecayProfile.gaussian(1.0)
-    tukey_bound = hs.generalized_inverse(h, 0.5 - 2.0 * e_tilde)
-    proj_bound = 2.0 * hs.generalized_inverse(h, 0.5 - e_tilde)
+    tukey_bound = h.inverse(0.5 - 2.0 * e_tilde)
+    proj_bound = 2.0 * h.inverse(0.5 - e_tilde)
     worst_tukey = worst_proj = 0.0
     for k in range(20):
         ss = spawn_seeds(7000 + k, 2)

@@ -153,12 +153,6 @@ class TestReportSerialization:
         b = run_bias_sweep(cfg, [0.0, 0.2]).to_csv()
         assert a == b
 
-    def test_thread_pool_preserves_output_bytes(self):
-        cfg = gaussian_config(n=80, trials=4, budget=32, midpoint_cap=100, refine_steps=2)
-        serial = run_bias_sweep(cfg, [0.0, 0.2]).to_csv()
-        pooled = run_bias_sweep(cfg, [0.0, 0.2], workers=4).to_csv()
-        assert serial == pooled
-
     def test_meta_carries_c_vc(self):
         report = run_bias_sweep(gaussian_config(n=50, trials=1, budget=16,
                                                 midpoint_cap=50, refine_steps=0), [0.0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import halfspace as hs
+from halfspace.depth import BatteryScorer
 from halfspace.model import WeightedPointSet
 
 
@@ -125,7 +126,7 @@ class TestMedianRefine:
         r = hs.median_refine(p, start, engine="sampled", steps=8, budget=128, rng=34)
         dirs = hs.direction_battery(p.consolidate().points, 128, hs.make_rng(34),
                                     anchor="difference")
-        start_score = hs.battery_scores(p.consolidate(), dirs, start[None, :])[0]
+        start_score = BatteryScorer(p.consolidate(), dirs).score(start)
         assert r.achieved_depth >= start_score
 
     def test_zero_steps_returns_start(self):

@@ -11,7 +11,7 @@ from halfspace.model import WeightedPointSet
 
 
 def erf_cdf(x: float) -> float:
-    # independent reference for the rational-approximation CDF
+    # independent reference for the ndtr-based CDF
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 

@@ -57,6 +57,19 @@ class TestFamilyDistance:
         d = hs.family_distance(np.zeros(3), fam, tetra, budget=256, rng=0)
         assert 0.2 <= d <= 0.25 + 1e-12
 
+    def test_translation_by_1e7_keeps_objective(self):
+        # float64 projections keep the objective at the true center far from
+        # the origin, where single precision cannot resolve a unit shift
+        dist = hs.NamedDistribution.gaussian(np.zeros(3), 1.0)
+        p = hs.sample(dist, 2000, rng=13)
+        fam = gaussian_family(d=3, half=4.0)
+        far = np.full(3, 1e7)
+        fam_far = hs.TemplateFamily(hs.NamedDistribution.gaussian(far, 1.0), fam.decay,
+                                    fam.search_box + far[:, None])
+        near = hs.family_distance(np.zeros(3), fam, p, budget=128, rng=2)
+        moved = hs.family_distance(far, fam_far, p.shifted(far), budget=128, rng=2)
+        assert abs(moved - near) <= 1e-8
+
     def test_dimension_mismatch(self):
         fam = gaussian_family(d=2)
         with pytest.raises(ValueError):
@@ -124,7 +137,7 @@ class TestCertifyBound:
 
     def test_uncorrupted_square_certifies_with_bound_two(self):
         fam = hs.square_template_family()
-        assert hs.generalized_inverse(fam.decay, 0.5) == 1.0
+        assert fam.decay.inverse(0.5) == 1.0
         res = hs.project_estimate(hs.square_distribution().atoms_absolute(), fam,
                                   starts=1, budget=256, steps=16, rng=0)
         assert hs.certify_projection_bound(res, fam, np.zeros(3), 0.0)
