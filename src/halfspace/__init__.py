@@ -5,8 +5,8 @@ from .corruption import (AttackSpec, Mixture, adaptive_corrupt_samples, additive
                          apex_move, attack_pointmass_1d, attack_tetrahedron,
                          constant_cluster, mixture_corrupt, oblivious_pipeline,
                          sample_population, shift_cluster, square_distribution, tv_corrupt)
-from .depth import (DepthResult, compute_depth, depth_1d, depth_2d_sweep, depth_oracle,
-                    depth_sampled, direction_battery)
+from .depth import (DepthResult, compute_depth, depth_1d, depth_2d_sweep, depth_2d_sweep_many,
+                    depth_oracle, depth_sampled, direction_battery)
 from .harness import (ConfigError, ExperimentConfig, ExperimentReport, ReportRow,
                       median_errors_by_n, run_bias_sweep, run_breakdown_sweep, run_scaling)
 from .median import (MedianResult, coordinatewise_median, median_1d, median_candidates,

@@ -63,6 +63,16 @@ def _write_output(text: str, out: str | None):
 
 
 DEPTH_ENGINES = ("auto", "exact1d", "sweep2d", "oracle", "sampled")
+_ENGINE_DIMS = {"exact1d": 1, "sweep2d": 2}
+
+
+def _check_depth_args(args, p: WeightedPointSet):
+    need = _ENGINE_DIMS.get(args.engine)
+    if need is not None and p.dim != need:
+        raise ConfigError(f"--engine {args.engine} needs {need}-dimensional data, "
+                          f"got {p.dim}-dimensional")
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be at least 1, got {args.budget}")
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -148,8 +158,12 @@ def _emit_report(report, args):
 def _run(args) -> int:
     if args.command == "depth":
         p = _load_pointset(args.dist)
-        res = compute_depth(p, _parse_point(args.point), engine=args.engine,
-                            budget=args.budget, rng=args.seed)
+        point = _parse_point(args.point)
+        if point.shape[0] != p.dim:
+            raise ConfigError(f"--point has {point.shape[0]} coordinates, "
+                              f"the distribution is {p.dim}-dimensional")
+        _check_depth_args(args, p)
+        res = compute_depth(p, point, engine=args.engine, budget=args.budget, rng=args.seed)
         print(float(res.value))
         return 0
     if args.command == "median":
@@ -157,6 +171,7 @@ def _run(args) -> int:
         if p.dim == 1:
             res = median_1d(p)
         else:
+            _check_depth_args(args, p)
             res = median_candidates(p, engine=args.engine, budget=args.budget, rng=args.seed)
         print(json.dumps(res.to_json_dict(), sort_keys=True))
         return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import BatteryScorer, compute_depth, direction_battery
+from .depth import BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery
 from .model import WeightedPointSet, as_point
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
@@ -86,12 +86,15 @@ def _candidate_pool(p: WeightedPointSet, extra, midpoint_cap: int,
     return np.unique(np.vstack(pool), axis=0)
 
 
-def _score_pool(p: WeightedPointSet, pool: np.ndarray, engine: str, budget: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _scorer(p: WeightedPointSet, engine: str, budget: int, rng: np.random.Generator):
+    """Batched depth scores ``xs (m, d) -> (m,)`` under ``engine``. The
+    sampled engine draws its direction battery from ``rng`` here."""
     if engine == "sampled":
         dirs = direction_battery(p.points, budget, rng, anchor="difference")
-        return BatteryScorer(p, dirs).scores(pool)
-    return np.array([compute_depth(p, c, engine=engine).value for c in pool])
+        return BatteryScorer(p, dirs).scores
+    if engine == "sweep2d":
+        return lambda xs: depth_2d_sweep_many(p, xs)[0]
+    return lambda xs: np.array([compute_depth(p, x, engine=engine).value for x in xs])
 
 
 def _resolve_engine(p: WeightedPointSet, pool_size: int, engine: str) -> str:
@@ -122,7 +125,7 @@ def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
     merged = p.consolidate()
     pool = _candidate_pool(merged, extra, midpoint_cap, gen)
     eng = _resolve_engine(merged, len(pool), engine)
-    scores = _score_pool(merged, pool, eng, budget, gen)
+    scores = _scorer(merged, eng, budget, gen)(pool)
     top = float(np.max(scores))
     tied = pool[scores >= top - 1e-12]
     center = merged.mean()
@@ -151,13 +154,7 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     merged = p.consolidate()
     probe_evals = 96 + 12 * steps  # pattern-search budget drives the engine choice
     eng = _resolve_engine(merged, probe_evals, engine)
-    if eng == "sampled":
-        dirs = direction_battery(merged.points, budget, gen, anchor="difference")
-        scores = BatteryScorer(merged, dirs).scores
-    else:
-        def scores(xs):
-            return np.array([compute_depth(merged, x, engine=eng).value for x in xs])
-
+    scores = _scorer(merged, eng, budget, gen)
     diameter = float(np.linalg.norm(np.ptp(merged.points, axis=0)))
     if steps == 0:
         return MedianResult(start, float(scores(start[None, :])[0]), 1, "refined")

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfspace as hs
 from halfspace.depth import BatteryScorer, _stable_argsort_rows
@@ -37,6 +41,95 @@ class TestDepth2dSweep:
     def test_all_atoms_at_query(self):
         p = uniform([[2.0, 3.0], [2.0, 3.0]])
         assert hs.depth_2d_sweep(p, [2.0, 3.0]).value == 1.0
+
+
+@st.composite
+def planar_grid_cases(draw):
+    """Small integer-grid atom sets (duplicates, collinear atoms, -0.0
+    coordinates), uniform or generic weights, and queries on and off atoms."""
+    n = draw(st.integers(1, 10))
+    cells = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    pts = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    signs = np.array(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)))
+    pts[(pts == 0.0) & signs.reshape(n, 2)] = -0.0
+    if draw(st.booleans()):
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
+        w /= w.sum()
+    on = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    off = draw(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), min_size=1,
+                        max_size=4))
+    queries = np.vstack([pts[on].reshape(-1, 2), 0.5 * np.array(off, dtype=float)])
+    return WeightedPointSet(pts, w), queries
+
+
+class TestDepth2dSweepMany:
+    @given(planar_grid_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_single_calls(self, case):
+        p, queries = case
+        values, witnesses = hs.depth_2d_sweep_many(p, queries)
+        for q, value, witness in zip(queries, values, witnesses):
+            one = hs.depth_2d_sweep(p, q)
+            assert np.float64(one.value).tobytes() == value.tobytes()
+            assert one.witness.tobytes() == witness.tobytes()
+
+    @given(planar_grid_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_oracle(self, case):
+        # The oracle merges duplicate atoms before summing, so the sweep runs
+        # on the merged set as well. Equal weights make every closed mass of
+        # k atoms the same float, so the two engines agree bit for bit even
+        # where they pick different halfplanes of the minimal mass.
+        p, queries = case
+        merged = p.consolidate()
+        uniform_weights = bool(np.all(merged.weights == merged.weights[0]))
+        raw = hs.depth_2d_sweep_many(p, queries)[0]
+        values = hs.depth_2d_sweep_many(merged, queries)[0]
+        for q, value, raw_value in zip(queries, values, raw):
+            want = hs.depth_oracle(p, q).value
+            if uniform_weights:
+                assert value == want
+            assert value == pytest.approx(want, abs=1e-12)
+            assert raw_value == pytest.approx(want, abs=1e-12)
+
+    @given(planar_grid_cases(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_translation_keeps_value(self, case, shift):
+        p, queries = case
+        shift = np.array(shift, dtype=float)
+        moved = WeightedPointSet(p.points + shift, p.weights)
+        a = hs.depth_2d_sweep_many(p, queries)[0]
+        b = hs.depth_2d_sweep_many(moved, queries + shift)[0]
+        assert a.tobytes() == b.tobytes()
+
+    def test_regular_polygon_center_memory(self):
+        # 3000 atoms: a sweep that builds an n x 2n matrix peaks near 80 MB here
+        angles = 2.0 * np.pi * np.arange(3000) / 3000
+        p = uniform(np.column_stack([np.cos(angles), np.sin(angles)]))
+        tracemalloc.start()
+        try:
+            value = hs.depth_2d_sweep(p, [0.0, 0.0]).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert peak < 8_000_000
+
+    def test_blocks_match_single_calls(self):
+        # 500 queries at n = 120 span several blocks of the batch
+        rng = hs.make_rng(4)
+        pts = rng.integers(-4, 5, size=(120, 2)).astype(float)
+        p = uniform(pts)
+        queries = np.vstack([pts, 0.5 * rng.integers(-9, 10, size=(380, 2))])
+        values = hs.depth_2d_sweep_many(p, queries)[0]
+        for q, value in zip(queries[::7], values[::7]):
+            assert hs.depth_2d_sweep(p, q).value == value
+
+    def test_dimension_guard(self):
+        with pytest.raises(ValueError):
+            hs.depth_2d_sweep_many(SQUARE_2D, np.zeros((2, 3)))
 
 
 class TestDepthOracle:

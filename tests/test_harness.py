@@ -207,6 +207,19 @@ class TestCli:
         assert main(["depth", "--dist", str(path), "--point", point]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--point", "0,0,0", "--engine", "sweep2d"],
+        ["median", "--engine", "exact1d"],
+        ["median", "--engine", "sweep2d"],
+        ["depth", "--point", "0,0"],
+        ["depth", "--point", "0,0,0", "--engine", "sampled", "--budget", "0"],
+    ])
+    def test_depth_and_median_misconfiguration_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "sq.csv"
+        path.write_text(hs.square_distribution().atoms_absolute().to_csv())
+        assert main([*argv, "--dist", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_sweep_bias_end_to_end(self, tmp_path):
         cfg = {"estimator": "cwise_median",
                "distribution": {"variant": "gaussian_isotropic", "center": [0, 0, 0],

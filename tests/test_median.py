@@ -135,6 +135,43 @@ class TestMedianRefine:
         assert np.array_equal(r.point, [0.1, 0.2, 0.0])
 
 
+class TestSweep2dWiring:
+    """The planar median searches score whole batches through
+    ``depth_2d_sweep_many``; scoring each query alone must give the same
+    result bit for bit."""
+
+    @staticmethod
+    def one_at_a_time(p, xs):
+        results = [hs.depth_2d_sweep(p, x) for x in xs]
+        return np.array([r.value for r in results]), np.array([r.witness for r in results])
+
+    @staticmethod
+    def sample(seed):
+        rng = hs.make_rng(seed)
+        pts = np.round(2.0 * rng.standard_normal((60, 2))) / 2.0   # duplicates, collinear
+        return uniform(pts)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidates_match_single_query_reference(self, seed, monkeypatch):
+        p = self.sample(seed)
+        got = hs.median_candidates(p, engine="sweep2d", rng=seed)
+        monkeypatch.setattr(hs.median, "depth_2d_sweep_many", self.one_at_a_time)
+        want = hs.median_candidates(p, engine="sweep2d", rng=seed)
+        assert got.point.tobytes() == want.point.tobytes()
+        assert got.achieved_depth == want.achieved_depth
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refine_matches_single_query_reference(self, seed, monkeypatch):
+        p = self.sample(seed)
+        start = p.points[0]
+        got = hs.median_refine(p, start, engine="sweep2d", steps=16, rng=seed)
+        monkeypatch.setattr(hs.median, "depth_2d_sweep_many", self.one_at_a_time)
+        want = hs.median_refine(p, start, engine="sweep2d", steps=16, rng=seed)
+        assert got.point.tobytes() == want.point.tobytes()
+        assert got.achieved_depth == want.achieved_depth
+        assert got.candidate_count == want.candidate_count
+
+
 class TestCoordinatewiseMedian:
     def test_matches_1d_median_per_axis(self):
         rng = hs.make_rng(19)
