@@ -436,19 +436,21 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stable_argsort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(a, axis=1, kind="stable")`` and the sorted rows.
+def sort_projections(proj: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``proj`` (c, n) sorted ascending, and ``weights`` (n,)
+    carried into each row's order: two (c, n) arrays.
 
-    The default (unstable) sort is several times faster and already gives
-    the stable order in rows whose values are distinct. In the other rows,
-    each run of equal values is put back in index order by sorting the
-    integer keys ``run * n + index``. NaNs, which sort last, form one run.
-    The order matters beyond the sorted values: suffix sums over tied atoms
-    must add their weights in the same order to give the same bits.
+    Ties keep index order, the order of ``np.argsort(proj, axis=1,
+    kind="stable")``: suffix sums over tied atoms must add their weights in
+    the same order to give the same bits. The default (unstable) sort is
+    several times faster and already gives that order in rows whose values
+    are distinct. In the other rows, each run of equal values is put back in
+    index order by sorting the integer keys ``run * n + index``. NaNs, which
+    sort last, form one run.
     """
-    n = a.shape[1]
-    order = np.argsort(a, axis=1)
-    ranked = np.take_along_axis(a, order, axis=1)
+    n = proj.shape[1]
+    order = np.argsort(proj, axis=1)
+    ranked = np.take_along_axis(proj, order, axis=1)
     tied = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
     redo = np.flatnonzero(tied.any(axis=1))
     if redo.size:
@@ -456,8 +458,17 @@ def _stable_argsort_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(~tied[redo], axis=1, out=run[:, 1:])
         keys = np.sort(run * n + order[redo], axis=1)
         order[redo] = keys % n
-        ranked[redo] = np.take_along_axis(a[redo], order[redo], axis=1)
-    return order, ranked
+        ranked[redo] = np.take_along_axis(proj[redo], order[redo], axis=1)
+    return ranked, weights[order]
+
+
+def suffix_masses(sorted_weights: np.ndarray) -> np.ndarray:
+    """(c, n + 1) tail masses of the rows of ``sorted_weights`` (c, n):
+    column i holds the weight from rank i on, summed from the last rank
+    down, and the last column is 0."""
+    out = np.zeros((sorted_weights.shape[0], sorted_weights.shape[1] + 1))
+    out[:, :-1] = np.cumsum(sorted_weights[:, ::-1], axis=1)[:, ::-1]
+    return out
 
 
 class BatteryScorer:
@@ -479,12 +490,8 @@ class BatteryScorer:
         chunk_size = max(1, 2_000_000 // max(1, p.size))
         for start in range(0, len(dirs), chunk_size):
             chunk = dirs[start:start + chunk_size]
-            proj = _project_rows(p.points, chunk)
-            order, sorted_proj = _stable_argsort_rows(proj)
-            w_sorted = p.weights[order]
-            suffix = np.zeros((chunk.shape[0], p.size + 1))
-            suffix[:, :-1] = np.cumsum(w_sorted[:, ::-1], axis=1)[:, ::-1]
-            self._chunks.append((chunk, sorted_proj, suffix))
+            sorted_proj, w_sorted = sort_projections(_project_rows(p.points, chunk), p.weights)
+            self._chunks.append((chunk, sorted_proj, suffix_masses(w_sorted)))
 
     def scores(self, candidates: np.ndarray) -> np.ndarray:
         """Depth upper bound of each row of ``candidates`` (m, d)."""

@@ -272,28 +272,7 @@ def run_bias_sweep(config: ExperimentConfig, eps_grid: Sequence[float],
     for eps in eps_grid:
         if not 0.0 <= eps < 1.0:
             raise ConfigError("eps grid values must lie in [0, 1)")
-    report = ExperimentReport(meta=_meta(config, "bias"))
-    children = spawn_seeds(config.seed, max(1, len(eps_grid) * config.trials))
-    center = config.distribution.center
-
-    def one(trial, eps, e_tilde, bound, ss) -> ReportRow:
-        start = time.perf_counter()
-        rng = make_rng(ss)
-        p_hat = realize_trial(config, eps, rng)
-        point, score = estimate_location(p_hat, config, rng)
-        ms = int(1000 * (time.perf_counter() - start)) if timing else 0
-        return ReportRow(trial, config.estimator, config.attack.variant, config.mode,
-                         float(eps), float(e_tilde), p_hat.size, p_hat.dim,
-                         float(np.linalg.norm(point - center)), float(score),
-                         float(bound), seed_fingerprint(ss), ms)
-
-    for i, eps in enumerate(eps_grid):
-        e_tilde = _effective_eps(config, eps)
-        bound = _bound_for(config, e_tilde)
-        for trial in range(config.trials):
-            report.rows.append(one(trial, eps, e_tilde, bound,
-                                   children[i * config.trials + trial]))
-    return report
+    return _run_grid(config, "bias", [(eps, config) for eps in eps_grid], timing)
 
 
 def _tetrahedron_probe(p: WeightedPointSet) -> np.ndarray:
@@ -409,28 +388,34 @@ def run_scaling(config: ExperimentConfig, n_grid: Sequence[int],
     """Fixed corruption level, growing sample size; one row per trial."""
     if list(n_grid) != sorted(n_grid):
         raise ConfigError("n grid must be ascending")
-    report = ExperimentReport(meta=_meta(config, "scaling"))
     eps = config.attack.epsilon
-    children = spawn_seeds(config.seed, max(1, len(n_grid) * config.trials))
+    return _run_grid(config, "scaling", [(eps, replace(config, n=int(n))) for n in n_grid],
+                     timing)
+
+
+def _run_grid(config: ExperimentConfig, kind: str,
+              cells: Sequence[tuple[float, ExperimentConfig]], timing: bool) -> ExperimentReport:
+    """``config.trials`` rows per ``(eps, cfg)`` cell: sample, corrupt,
+    estimate, and record the error next to the matching bound. Trial t of
+    cell i runs on split seed ``i * trials + t`` of ``config.seed``, and rows
+    come in cell, then trial, order."""
+    report = ExperimentReport(meta=_meta(config, kind))
+    children = spawn_seeds(config.seed, max(1, len(cells) * config.trials))
     center = config.distribution.center
-
-    def one(trial, cfg, e_tilde, bound, ss) -> ReportRow:
-        start = time.perf_counter()
-        rng = make_rng(ss)
-        p_hat = realize_trial(cfg, eps, rng)
-        point, score = estimate_location(p_hat, cfg, rng)
-        ms = int(1000 * (time.perf_counter() - start)) if timing else 0
-        return ReportRow(trial, cfg.estimator, cfg.attack.variant, cfg.mode, float(eps),
-                         float(e_tilde), p_hat.size, p_hat.dim,
-                         float(np.linalg.norm(point - center)), float(score),
-                         float(bound), seed_fingerprint(ss), ms)
-
-    for i, n in enumerate(n_grid):
-        cfg = replace(config, n=int(n))
+    for i, (eps, cfg) in enumerate(cells):
         e_tilde = _effective_eps(cfg, eps)
         bound = _bound_for(cfg, e_tilde)
-        for trial in range(cfg.trials):
-            report.rows.append(one(trial, cfg, e_tilde, bound, children[i * cfg.trials + trial]))
+        for trial in range(config.trials):
+            ss = children[i * config.trials + trial]
+            start = time.perf_counter()
+            rng = make_rng(ss)
+            p_hat = realize_trial(cfg, eps, rng)
+            point, score = estimate_location(p_hat, cfg, rng)
+            ms = int(1000 * (time.perf_counter() - start)) if timing else 0
+            report.rows.append(ReportRow(
+                trial, cfg.estimator, cfg.attack.variant, cfg.mode, float(eps),
+                float(e_tilde), p_hat.size, p_hat.dim, float(np.linalg.norm(point - center)),
+                float(score), float(bound), seed_fingerprint(ss), ms))
     return report
 
 

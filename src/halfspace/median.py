@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery
+from .depth import (BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery,
+                    sort_projections, suffix_masses)
 from .model import WeightedPointSet, as_point
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
@@ -37,11 +38,10 @@ class MedianResult:
 def weighted_median_interval(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Endpoints of the weighted median set: points whose closed one-sided
     masses are both >= 1/2."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w)
-    suffix = np.cumsum(w[::-1])[::-1]
+    (v,), w = sort_projections(values[None, :], weights)
+    # lower masses are the suffix masses of the reversed row, read backwards
+    cum = suffix_masses(w[:, ::-1])[0, -2::-1]
+    suffix = suffix_masses(w)[0, :-1]
     lo = float(v[int(np.argmax(cum >= 0.5 - 1e-12))])
     hi = float(v[len(v) - 1 - int(np.argmax((suffix >= 0.5 - 1e-12)[::-1]))])
     return lo, hi

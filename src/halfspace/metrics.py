@@ -18,8 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
+from .depth import direction_battery, sort_projections, suffix_masses
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
+
+_INVERSE_TOL = 1e-10    # bisection width of numeric generalized inverses
 
 
 def normal_cdf(x):
@@ -118,18 +121,12 @@ class DecayProfile:
             raw = gen.standard_normal((budget, d))
             raw = raw[np.linalg.norm(raw, axis=1) > 0]
             dirs.append(raw / np.linalg.norm(raw, axis=1)[:, None])
-        dmat = np.vstack(dirs)
-        proj = offsets @ dmat.T                      # (n, c)
-        order = np.argsort(proj, axis=0)
-        sorted_proj = np.take_along_axis(proj, order, axis=0)
-        w_sorted = atoms.weights[order]
-        suffix = np.zeros((atoms.size + 1, dmat.shape[0]))
-        suffix[:-1] = np.cumsum(w_sorted[::-1], axis=0)[::-1]
-        ps = sorted_proj.copy()
-        sf = suffix.copy()
-        ps.setflags(write=False)
-        sf.setflags(write=False)
-        return cls("empirical", dim=d, _emp_sorted=ps, _emp_suffix=sf)
+        proj = offsets @ np.vstack(dirs).T           # (n, c)
+        rows, w_sorted = sort_projections(proj.T, atoms.weights)
+        suffix = suffix_masses(w_sorted)
+        rows.setflags(write=False)
+        suffix.setflags(write=False)
+        return cls("empirical", dim=d, _emp_sorted=rows, _emp_suffix=suffix)
 
     def eval(self, t: float) -> float:
         if t < 0:
@@ -141,12 +138,11 @@ class DecayProfile:
         if self.variant == "piecewise":
             idx = int(np.searchsorted(self.breakpoints[:, 0], t, side="right")) - 1
             return float(self.breakpoints[idx, 1])
-        # empirical: strict mass beyond t, maximized over the battery
-        pos = np.apply_along_axis(np.searchsorted, 0, self._emp_sorted, t, side="right")
-        masses = self._emp_suffix[pos, np.arange(self._emp_suffix.shape[1])]
-        return float(masses.max())
+        # empirical: strict mass beyond t, maximized over the battery rows
+        pos = np.count_nonzero(self._emp_sorted <= t, axis=1)
+        return float(np.take_along_axis(self._emp_suffix, pos[:, None], axis=1).max())
 
-    def inverse(self, y: float, tol: float = 1e-10) -> float:
+    def inverse(self, y: float) -> float:
         """Generalized inverse inf{x >= 0 : h(x) < y}; +inf if the set is empty."""
         if y > 1.0:
             raise ValueError("generalized inverse needs y <= 1")
@@ -172,7 +168,7 @@ class DecayProfile:
         if self.eval(hi) >= y:
             return math.inf
         lo = 0.0
-        while hi - lo > tol:
+        while hi - lo > _INVERSE_TOL:
             mid = 0.5 * (lo + hi)
             if self.eval(mid) < y:
                 hi = mid
@@ -234,12 +230,10 @@ def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
 
 def _suffix_masses(values: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     """Closed and open tail masses P(value >= s), P(value > s) on ``grid``."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    suffix = np.zeros(sv.size + 1)
-    suffix[:-1] = np.cumsum(weights[order][::-1])[::-1]
-    ge = suffix[np.searchsorted(sv, grid, side="left")]
-    gt = suffix[np.searchsorted(sv, grid, side="right")]
+    sv, w_sorted = sort_projections(values[None, :], weights)
+    suffix = suffix_masses(w_sorted)[0]
+    ge = suffix[np.searchsorted(sv[0], grid, side="left")]
+    gt = suffix[np.searchsorted(sv[0], grid, side="right")]
     return ge, gt
 
 
@@ -318,8 +312,6 @@ def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exac
         return max(_scan_direction(v, p, q, boundary_adjust=True) for v in dirs)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    from .depth import direction_battery  # local import; depth builds on model only
-
     union = np.vstack([p.points, q.points])
     dirs = direction_battery(union, budget, make_rng(rng), anchor="difference")
     return max(_scan_direction(v, p, q, boundary_adjust=(d == 2)) for v in dirs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import direction_battery
+from .depth import direction_battery, sort_projections
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
 from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
@@ -110,7 +110,10 @@ class ProjectionResult:
 
 class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
-    distance between the translated template CDF and the empirical CDF."""
+    distance between the translated template CDF and the empirical CDF.
+    Sorted projections are kept as contiguous (n, c) columns, the layout
+    ``_discrete_sup``'s einsum sums in; a continuous template evaluates each
+    probe inside one preallocated (n, c) buffer."""
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
                  budget: int, rng: np.random.Generator):
@@ -119,21 +122,17 @@ class _BatteryObjective:
         self.family = family
         p_hat = p_hat.consolidate()
         self.dirs = direction_battery(p_hat.points, budget, rng, anchor="difference")
-        proj = p_hat.points @ self.dirs.T                      # (n, c)
-        order = np.argsort(proj, axis=0, kind="stable")
-        self.emp_sorted = np.take_along_axis(proj, order, axis=0)
-        w_sorted = p_hat.weights[order]
+        self.emp_sorted, w_sorted = self._sorted_columns(p_hat)
         self.emp_cdf = np.cumsum(w_sorted, axis=0)
         self.emp_left = self.emp_cdf - w_sorted
-        self._emp_w = w_sorted
         tmpl = family.template
         if tmpl.variant == DISCRETE_ATOMS:
-            toff = tmpl.atoms.points                           # offsets about center
-            tproj = toff @ self.dirs.T                         # (k, c)
-            torder = np.argsort(tproj, axis=0, kind="stable")
-            self.t_sorted = np.take_along_axis(tproj, torder, axis=0)
-            self._tpl_w = tmpl.atoms.weights[torder]
-        elif tmpl.variant == UNIFORM_BALL:
+            self._emp_w = w_sorted
+            # template atoms are offsets about its center
+            self.t_sorted, self._tpl_w = self._sorted_columns(tmpl.atoms)
+        else:
+            self._buf = np.empty_like(self.emp_sorted)
+        if tmpl.variant == UNIFORM_BALL:
             # dense one-off table: the incomplete-beta cap mass is far too
             # slow to evaluate per probe; interpolation error is ~1e-7
             grid = np.linspace(-tmpl.scale, tmpl.scale, 4097)
@@ -141,11 +140,19 @@ class _BatteryObjective:
             self._ball_grid = grid
             self._ball_cdf = np.where(grid >= 0.0, 1.0 - tail, tail)
 
+    def _sorted_columns(self, atoms: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
+        """Projections of ``atoms`` on the battery, sorted per direction, and
+        their weights, as contiguous (n, c) columns."""
+        rows, w_rows = sort_projections((atoms.points @ self.dirs.T).T, atoms.weights)
+        return np.ascontiguousarray(rows.T), np.ascontiguousarray(w_rows.T)
+
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:
-        """Template CDF evaluated at center-relative projection values."""
+        """Template CDF at center-relative projection values; scales
+        ``shifted`` in place."""
         tmpl = self.family.template
         if tmpl.variant == GAUSSIAN:
-            return normal_cdf(shifted / tmpl.scale)
+            shifted /= tmpl.scale
+            return normal_cdf(shifted)
         if tmpl.variant == UNIFORM_BALL:
             flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf,
                              left=0.0, right=1.0)
@@ -156,9 +163,9 @@ class _BatteryObjective:
         t0 = self.dirs @ mu                                    # (c,)
         if self.family.template.variant == DISCRETE_ATOMS:
             return self._discrete_sup(t0)
-        f = self._template_cdf(self.emp_sorted - t0[None, :])
-        d_plus = np.max(self.emp_cdf - f)
-        d_minus = np.max(f - self.emp_left)
+        f = self._template_cdf(np.subtract(self.emp_sorted, t0, out=self._buf))
+        d_plus = np.max(np.subtract(self.emp_cdf, f, out=self._buf))
+        d_minus = np.max(np.subtract(f, self.emp_left, out=f))
         return float(max(d_plus, d_minus, 0.0))
 
     def batch(self, mus: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfspace as hs
-from halfspace.depth import BatteryScorer, _stable_argsort_rows
+from halfspace.depth import BatteryScorer, sort_projections, suffix_masses
 from halfspace.model import WeightedPointSet
 
 
@@ -340,10 +340,18 @@ class TestBatteryScorer:
         a[8, ::5] = np.inf
         a[8, 1::5] = -np.inf
         a[9] = 0.0
-        order, ranked = _stable_argsort_rows(a)
+        # index-valued weights come back as the sort order itself
+        ranked, order = sort_projections(a, np.arange(300.0))
         want = np.argsort(a, axis=1, kind="stable")
         assert np.array_equal(order, want)
         assert ranked.tobytes() == np.take_along_axis(a, want, axis=1).tobytes()
+
+    def test_suffix_masses_sum_from_the_last_rank(self):
+        w = np.array([[0.5, 0.25, 0.125], [0.1, 0.2, 0.3]])
+        got = suffix_masses(w)
+        assert got.shape == (2, 4)
+        assert got[0].tolist() == [0.875, 0.375, 0.125, 0.0]
+        assert got[1].tolist() == [(0.3 + 0.2) + 0.1, 0.3 + 0.2, 0.3, 0.0]
 
     def test_chunked_build_matches_column_layout(self):
         # ~1500 directions at n = 2000 span two construction chunks

@@ -82,6 +82,34 @@ class TestDecayProfiles:
         assert prof.eval(1.5) == 0.0
         assert prof.inverse(0.2) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("budget", [0, 24])
+    def test_empirical_profile_is_the_battery_max_of_strict_tails(self, budget):
+        # dyadic weights sum exactly in any order; an atom at the center,
+        # atoms tied along the axes and along their own offsets
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [2.0, 0.0],
+                        [-1.0, 0.0], [0.0, 2.0], [-2.0, -2.0]])
+        w = np.array([8, 4, 4, 4, 2, 4, 3, 3]) / 32.0
+        atoms = WeightedPointSet(pts, w)
+        prof = DecayProfile.empirical(atoms, np.zeros(2), budget=budget, rng=9)
+        # the profile's battery: axes, atom offsets, then seeded random directions
+        unit = pts[1:] / np.linalg.norm(pts[1:], axis=1)[:, None]
+        raw = hs.make_rng(9).standard_normal((budget, 2))
+        dirs = np.vstack([np.eye(2), -np.eye(2), unit, -unit,
+                          raw / np.linalg.norm(raw, axis=1)[:, None]])
+        proj = pts @ dirs.T
+        ts = np.concatenate([np.unique(proj[proj >= 0]), [0.25, 1.5, 3.0, 100.0]])
+        for t in ts:
+            want = max(float(w[proj[:, j] > t].sum()) for j in range(len(dirs)))
+            assert prof.eval(float(t)) == want
+        # the inverse lands on the step where the profile drops below y
+        steps = np.unique(proj[proj >= 0])
+        for y in (0.5, 0.4, 0.3, 0.2, 0.1, 0.05):
+            x = prof.inverse(y)
+            assert prof.eval(x) < y
+            if x > 0.0:
+                assert prof.eval(x - 2e-10) >= y
+                assert np.min(np.abs(steps - x)) <= 1e-10
+
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             DecayProfile.gaussian(1.0).eval(-0.5)

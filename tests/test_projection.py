@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import halfspace as hs
-from halfspace.metrics import DecayProfile
+from halfspace.metrics import DecayProfile, normal_cdf
 from halfspace.model import WeightedPointSet
+from halfspace.projection import _BatteryObjective
 
 
 def gaussian_family(d: int = 1, sigma: float = 1.0, half: float = 5.0) -> hs.TemplateFamily:
@@ -69,6 +71,26 @@ class TestFamilyDistance:
         near = hs.family_distance(np.zeros(3), fam, p, budget=128, rng=2)
         moved = hs.family_distance(far, fam_far, p.shifted(far), budget=128, rng=2)
         assert abs(moved - near) <= 1e-8
+
+    def test_gaussian_probe_holds_one_temporary(self):
+        # a probe that allocates fresh (n, c) arrays for the shift, the
+        # scaled shift and both CDF differences makes the allocator hand
+        # pages back to the OS and fault them in again on every call
+        p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 2000, rng=4)
+        objective = _BatteryObjective(gaussian_family(d=3, sigma=0.7), p, 128, hs.make_rng(6))
+        n, c = objective.emp_sorted.shape
+        mu = np.array([0.1, -0.2, 0.05])
+        tracemalloc.start()
+        try:
+            value = objective(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * c * 8
+        f = normal_cdf((objective.emp_sorted - objective.dirs @ mu) / 0.7)
+        want = max(np.max(objective.emp_cdf - f), np.max(f - objective.emp_left), 0.0)
+        assert value == want
+        assert objective(mu) == value
 
     def test_dimension_mismatch(self):
         fam = gaussian_family(d=2)
