@@ -56,18 +56,21 @@ def _closed_mass(offsets: np.ndarray, weights: np.ndarray, v: np.ndarray) -> flo
 
 
 def depth_1d(p: WeightedPointSet, mu) -> DepthResult:
-    """Exact depth on the line: min of the two closed one-sided masses."""
+    """Exact depth on the line: the closed mass of the lighter side.
+
+    As in :func:`depth_oracle`, duplicate atoms are merged first and the
+    sides are compared by their open masses (atoms at ``mu`` count on both),
+    so two sides of equal mass pick the same side, and the same bits, as the
+    oracle."""
     mu = as_point(mu)
     if p.dim != 1 or mu.shape[0] != 1:
         raise ValueError("depth_1d needs one-dimensional data")
+    p = p.consolidate()
     offsets = p.points - mu
-    plus = np.array([1.0])
-    minus = np.array([-1.0])
-    m_plus = _closed_mass(offsets, p.weights, plus)
-    m_minus = _closed_mass(offsets, p.weights, minus)
-    if m_plus <= m_minus:
-        return DepthResult(m_plus, plus, "exact1d")
-    return DepthResult(m_minus, minus, "exact1d")
+    plus = float(p.weights[offsets[:, 0] > 0.0].sum())
+    minus = float(p.weights[offsets[:, 0] < 0.0].sum())
+    witness = np.array([1.0 if plus <= minus else -1.0])
+    return DepthResult(_closed_mass(offsets, p.weights, witness), witness, "exact1d")
 
 
 def depth_2d_sweep(p: WeightedPointSet, mu) -> DepthResult:
@@ -93,16 +96,18 @@ def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.nd
     artefacts of coincident critical angles and never win. Atoms at the
     query bound no sector and are always counted. The witness is the
     midpoint of the winning sector, and the value is the closed mass along
-    it, summed as :func:`_closed_mass` sums it, so a row's bits do not
-    depend on the batch. Costs O(n log n) time and O(n) memory per query;
-    queries are processed in blocks of about ``_SWEEP_BLOCK`` critical
-    angles.
+    it, summed as :func:`_closed_mass` sums it over the merged set (duplicate
+    atoms are merged once per call, as :func:`depth_oracle` merges them), so
+    a row's bits do not depend on the batch. Costs O(n log n) time and O(n)
+    memory per query; queries are processed in blocks of about
+    ``_SWEEP_BLOCK`` critical angles.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if p.dim != 2 or queries.shape[1] != 2:
         raise ValueError("depth_2d_sweep needs two-dimensional data")
     if not np.all(np.isfinite(queries)):
         raise ValueError("point coordinates must be finite")
+    p = p.consolidate()
     values = np.empty(queries.shape[0])
     witnesses = np.empty((queries.shape[0], 2))
     rows = max(1, _SWEEP_BLOCK // (2 * p.size))

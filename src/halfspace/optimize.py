@@ -26,6 +26,13 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
 
     Returns ``(x, f(x), evaluations)`` with ``f(x)`` a Python float and
     ``evaluations`` counting every probed point, the start included.
+
+    Invariant: ``fx`` is the least value ``f`` has returned in this search
+    (the earliest of equal ones; a NaN is never less, so a NaN start stays).
+    An objective may therefore return, for a row it proves cannot go below
+    the least value it has returned, any value between that floor and the
+    row's true value: such a row is never accepted, and the path, the
+    generator draws and the result keep their bits.
     """
 
     def clip(x):

@@ -9,6 +9,12 @@ family is a translation family, the estimate is the minimizing center
 itself. The battery objective is a lower bound on the true halfspace
 metric; the family always contains the clean population, so the objective
 at the returned center never exceeds the objective at the true center.
+
+Each pattern search minimizes its own floored copy of the objective
+(``_BatteryObjective.floored``): a probe that cannot beat the search's
+incumbent costs the directions it takes to prove it, often one, and gets a
+lower bound at or above the incumbent, so the search takes the same path
+and returns the same bits as with exact values.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .rng import RngLike, make_rng
 
 _DOMINATION_GRID = 32
 _DOMINATION_SLACK = 1e-9
+_OBJECTIVE_BYTES_CAP = 2 ** 30   # resident (n, c) arrays of one projection objective
+_BLOCK_ROWS = 64                 # largest block of directions one evaluation step takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +119,19 @@ class ProjectionResult:
 class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
     distance between the translated template CDF and the empirical CDF.
-    Sorted projections are kept as contiguous (n, c) columns, the layout
-    ``_discrete_sup``'s einsum sums in; a continuous template evaluates each
-    probe inside one preallocated (n, c) buffer."""
+
+    A continuous template (Gaussian, uniform ball) keeps the sorted
+    projections, ``emp_cdf`` and ``emp_left`` as contiguous (c, n) rows, one
+    per direction, and evaluates a center in blocks of at most
+    ``_BLOCK_ROWS`` rows, so no per-probe temporary is (n, c). A discrete
+    template keeps its sorted projections and weights as (n, c) columns, the
+    layout ``_discrete_sup``'s einsum sums in. Construction refuses a
+    battery whose resident arrays would exceed ``_OBJECTIVE_BYTES_CAP``.
+
+    Calling the objective gives exact values; ``floored()`` gives the
+    objective one pattern search minimizes, which may stop evaluating a
+    center once it cannot beat that search's incumbent.
+    """
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
                  budget: int, rng: np.random.Generator):
@@ -122,16 +140,24 @@ class _BatteryObjective:
         self.family = family
         p_hat = p_hat.consolidate()
         self.dirs = direction_battery(p_hat.points, budget, rng, anchor="difference")
-        self.emp_sorted, w_sorted = self._sorted_columns(p_hat)
-        self.emp_cdf = np.cumsum(w_sorted, axis=0)
-        self.emp_left = self.emp_cdf - w_sorted
         tmpl = family.template
-        if tmpl.variant == DISCRETE_ATOMS:
-            self._emp_w = w_sorted
+        discrete = tmpl.variant == DISCRETE_ATOMS
+        n, c = p_hat.size, len(self.dirs)
+        resident = (2 if discrete else 3) * n * c * 8
+        if resident > _OBJECTIVE_BYTES_CAP:
+            raise ValueError(
+                f"projection objective needs {resident} bytes for n={n} atoms and "
+                f"c={c} directions, above the {_OBJECTIVE_BYTES_CAP}-byte cap; "
+                "use a lower budget")
+        rows, w_rows = self._sorted_rows(p_hat)
+        if discrete:
             # template atoms are offsets about its center
-            self.t_sorted, self._tpl_w = self._sorted_columns(tmpl.atoms)
-        else:
-            self._buf = np.empty_like(self.emp_sorted)
+            self._emp_cols, self._emp_w, self._tpl_cols, self._tpl_w = [
+                np.ascontiguousarray(a.T) for a in (rows, w_rows, *self._sorted_rows(tmpl.atoms))]
+            return
+        self.emp_sorted = rows
+        self.emp_cdf = np.cumsum(w_rows, axis=1)
+        self.emp_left = self.emp_cdf - w_rows
         if tmpl.variant == UNIFORM_BALL:
             # dense one-off table: the incomplete-beta cap mass is far too
             # slow to evaluate per probe; interpolation error is ~1e-7
@@ -140,11 +166,10 @@ class _BatteryObjective:
             self._ball_grid = grid
             self._ball_cdf = np.where(grid >= 0.0, 1.0 - tail, tail)
 
-    def _sorted_columns(self, atoms: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_rows(self, atoms: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
         """Projections of ``atoms`` on the battery, sorted per direction, and
-        their weights, as contiguous (n, c) columns."""
-        rows, w_rows = sort_projections((atoms.points @ self.dirs.T).T, atoms.weights)
-        return np.ascontiguousarray(rows.T), np.ascontiguousarray(w_rows.T)
+        their weights, as (c, n) rows."""
+        return sort_projections((atoms.points @ self.dirs.T).T, atoms.weights)
 
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:
         """Template CDF at center-relative projection values; scales
@@ -159,32 +184,90 @@ class _BatteryObjective:
             return flat.reshape(shifted.shape)
         raise AssertionError("discrete templates take the step-function path")
 
+    def _sup(self, mu: np.ndarray, floor: float = math.inf,
+             order: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """Running max of the per-direction sup distances at ``mu``, over
+        blocks of 1, 2, 4, ... (at most ``_BLOCK_ROWS``) directions taken in
+        ``order`` (battery order if None), stopped once it reaches ``floor``.
+
+        Returns ``(value, per_direction)``. A value below ``floor`` is the
+        exact objective, with every direction's value filled in; otherwise
+        it is a lower bound on the objective that is at least ``floor``.
+        The block order changes no bits: each entry is computed elementwise
+        and a max is exact.
+        """
+        t0 = self.dirs @ mu          # on the full battery: a row subset may round differently
+        c = t0.shape[0]
+        per_direction = np.empty(c)
+        value = 0.0
+        start, size = 0, 1
+        while start < c and value < floor:
+            rows = slice(start, start + size) if order is None else order[start:start + size]
+            shifted = self.emp_sorted[rows] - t0[rows, None]
+            f = self._template_cdf(shifted)
+            block = np.max(np.subtract(self.emp_cdf[rows], f, out=shifted), axis=1)
+            np.maximum(block, np.max(np.subtract(f, self.emp_left[rows], out=shifted), axis=1),
+                       out=block)
+            per_direction[rows] = block
+            value = float(np.maximum(value, block.max()))
+            start += size
+            size = min(2 * size, _BLOCK_ROWS)
+        return value, per_direction
+
     def __call__(self, mu: np.ndarray) -> float:
-        t0 = self.dirs @ mu                                    # (c,)
         if self.family.template.variant == DISCRETE_ATOMS:
-            return self._discrete_sup(t0)
-        f = self._template_cdf(np.subtract(self.emp_sorted, t0, out=self._buf))
-        d_plus = np.max(np.subtract(self.emp_cdf, f, out=self._buf))
-        d_minus = np.max(np.subtract(f, self.emp_left, out=f))
-        return float(max(d_plus, d_minus, 0.0))
+            return self._discrete_sup(self.dirs @ mu)
+        return self._sup(mu)[0]
 
     def batch(self, mus: np.ndarray) -> np.ndarray:
-        """Objective at each row of ``mus`` (m, d), one center at a time, so
-        no per-probe temporary is ever stacked m deep."""
+        """Exact objective at each row of ``mus`` (m, d), one center at a
+        time, so no per-probe temporary is ever stacked m deep."""
         return np.array([self(mu) for mu in mus])
+
+    def floored(self):
+        """A fresh batched objective for one pattern search.
+
+        Its floor is the least value it has returned so far. A center whose
+        running max over directions reaches the floor cannot go below it,
+        so evaluation stops there and the center gets that running max: a
+        lower bound on its value that is at least the floor. Any other
+        center gets its exact value. Directions go in descending order of
+        the per-direction values of the last center evaluated exactly (the
+        best so far), so most rejected probes stop after one direction.
+
+        ``pattern_search_min`` accepts a probe only when it is strictly below
+        ``fx``, which is this floor, so it accepts the same probes, with the
+        same exact values, and returns the same ``(x, fx, evals)`` as with
+        the exact objective. A discrete template always gets exact values.
+        """
+        if self.family.template.variant == DISCRETE_ATOMS:
+            return self.batch
+        floor, order = math.inf, None
+
+        def objective(mus: np.ndarray) -> np.ndarray:
+            nonlocal floor, order
+            out = np.empty(len(mus))
+            for i, mu in enumerate(mus):
+                out[i], per_direction = self._sup(mu, floor, order)
+                if out[i] < floor:
+                    floor = out[i]
+                    order = np.argsort(-per_direction, kind="stable")
+            return out
+
+        return objective
 
     def _discrete_sup(self, t0: np.ndarray) -> float:
         # Exact sup between two step CDFs: evaluate right limits and left
         # limits of both at the union of their jump points. Inputs are
         # consolidated, so atomic populations keep these columns short; the
         # comparison broadcasts over (grid, jumps, directions) in chunks.
-        t_shift = self.t_sorted + t0[None, :]                  # (k, c)
-        n, c = self.emp_sorted.shape
+        t_shift = self._tpl_cols + t0[None, :]                 # (k, c)
+        n, c = self._emp_cols.shape
         k = t_shift.shape[0]
         best = 0.0
         cols = max(1, 4_000_000 // max(1, (n + k) * (n + k)))
         for s in range(0, c, cols):
-            emp = self.emp_sorted[:, s:s + cols]               # (n, cc)
+            emp = self._emp_cols[:, s:s + cols]                # (n, cc)
             tpl = t_shift[:, s:s + cols]                       # (k, cc)
             grid = np.vstack([emp, tpl])                       # (g, cc)
             f_right = np.einsum("gnc,nc->gc", emp[None] <= grid[:, None], self._emp_w[:, s:s + cols])
@@ -250,7 +333,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     total_evals = (len(align_scores)
                    if family.template.variant == DISCRETE_ATOMS else 0)
     for x0 in start_points:
-        x, fx, evals = pattern_search_min(objective.batch, np.asarray(x0, dtype=float),
+        x, fx, evals = pattern_search_min(objective.floored(), np.asarray(x0, dtype=float),
                                           initial_step=diameter / 4.0, rng=gen,
                                           levels=8, max_moves=steps, box=box)
         total_evals += evals

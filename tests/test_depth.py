@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfspace as hs
@@ -17,6 +17,27 @@ def uniform(points) -> WeightedPointSet:
 SQUARE_2D = uniform([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
+@st.composite
+def grid_cases(draw, d=2):
+    """Small integer-grid atom sets in R^d (duplicates, collinear atoms,
+    -0.0 coordinates), uniform or generic weights, and queries on and off
+    atoms."""
+    n = draw(st.integers(1, 10))
+    cells = st.tuples(*[st.integers(-3, 3)] * d)
+    pts = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    signs = np.array(draw(st.lists(st.booleans(), min_size=d * n, max_size=d * n)))
+    pts[(pts == 0.0) & signs.reshape(n, d)] = -0.0
+    if draw(st.booleans()):
+        w = np.full(n, 1.0 / n)
+    else:
+        w = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
+        w /= w.sum()
+    on = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    off = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * d), min_size=1, max_size=4))
+    queries = np.vstack([pts[on].reshape(-1, d), 0.5 * np.array(off, dtype=float)])
+    return WeightedPointSet(pts, w), queries
+
+
 class TestDepth1d:
     @pytest.mark.parametrize("mu,expected", [(3.0, 3 / 5), (2.0, 2 / 5), (0.0, 0.0)])
     def test_counting(self, mu, expected):
@@ -26,6 +47,17 @@ class TestDepth1d:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             hs.depth_1d(SQUARE_2D, [0.0, 0.0])
+
+    @given(grid_cases(d=1))
+    @example(case=(uniform([[-3.0], [-2.0], [-1.0], [0.0], [0.0], [0.0], [2.0], [2.0], [3.0]]),
+                   np.array([[0.0]])))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_oracle_bit_for_bit(self, case):
+        # duplicates merged and sides compared by open mass, as the oracle
+        # does: two sides of equal mass give the oracle's bits
+        p, queries = case
+        for q in queries:
+            assert hs.depth_1d(p, q).value == hs.depth_oracle(p, q).value
 
 
 class TestDepth2dSweep:
@@ -43,29 +75,8 @@ class TestDepth2dSweep:
         assert hs.depth_2d_sweep(p, [2.0, 3.0]).value == 1.0
 
 
-@st.composite
-def planar_grid_cases(draw):
-    """Small integer-grid atom sets (duplicates, collinear atoms, -0.0
-    coordinates), uniform or generic weights, and queries on and off atoms."""
-    n = draw(st.integers(1, 10))
-    cells = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    pts = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
-    signs = np.array(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)))
-    pts[(pts == 0.0) & signs.reshape(n, 2)] = -0.0
-    if draw(st.booleans()):
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
-        w /= w.sum()
-    on = draw(st.lists(st.integers(0, n - 1), max_size=4))
-    off = draw(st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)), min_size=1,
-                        max_size=4))
-    queries = np.vstack([pts[on].reshape(-1, 2), 0.5 * np.array(off, dtype=float)])
-    return WeightedPointSet(pts, w), queries
-
-
 class TestDepth2dSweepMany:
-    @given(planar_grid_cases())
+    @given(grid_cases())
     @settings(max_examples=150, deadline=None)
     def test_rows_equal_single_calls(self, case):
         p, queries = case
@@ -75,26 +86,36 @@ class TestDepth2dSweepMany:
             assert np.float64(one.value).tobytes() == value.tobytes()
             assert one.witness.tobytes() == witness.tobytes()
 
-    @given(planar_grid_cases())
+    @given(grid_cases())
     @settings(max_examples=150, deadline=None)
     def test_equals_oracle(self, case):
-        # The oracle merges duplicate atoms before summing, so the sweep runs
-        # on the merged set as well. Equal weights make every closed mass of
-        # k atoms the same float, so the two engines agree bit for bit even
-        # where they pick different halfplanes of the minimal mass.
+        # Both engines merge duplicate atoms before summing. Equal merged
+        # weights make every closed mass of k atoms the same float, so the
+        # two agree bit for bit even where they pick different halfplanes of
+        # the minimal mass; two such halfplanes holding different atoms can
+        # otherwise differ in the last bit.
         p, queries = case
         merged = p.consolidate()
         uniform_weights = bool(np.all(merged.weights == merged.weights[0]))
-        raw = hs.depth_2d_sweep_many(p, queries)[0]
-        values = hs.depth_2d_sweep_many(merged, queries)[0]
-        for q, value, raw_value in zip(queries, values, raw):
+        values = hs.depth_2d_sweep_many(p, queries)[0]
+        for q, value in zip(queries, values):
             want = hs.depth_oracle(p, q).value
             if uniform_weights:
                 assert value == want
             assert value == pytest.approx(want, abs=1e-12)
-            assert raw_value == pytest.approx(want, abs=1e-12)
 
-    @given(planar_grid_cases(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    @given(grid_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_duplicates_are_merged(self, case):
+        # a set and its merged set are one distribution: same values and
+        # witnesses, bit for bit
+        p, queries = case
+        raw_values, raw_witnesses = hs.depth_2d_sweep_many(p, queries)
+        values, witnesses = hs.depth_2d_sweep_many(p.consolidate(), queries)
+        assert raw_values.tobytes() == values.tobytes()
+        assert raw_witnesses.tobytes() == witnesses.tobytes()
+
+    @given(grid_cases(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
     @settings(max_examples=150, deadline=None)
     def test_integer_translation_keeps_value(self, case, shift):
         p, queries = case

@@ -1,5 +1,10 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace.optimize import pattern_search_min
 
@@ -136,3 +141,77 @@ class TestBatchedPatternSearch:
                            rng=np.random.default_rng(1), max_moves=10, box=box)
         probes = np.vstack(seen)
         assert probes.min() >= 0.0 and probes.max() <= 1.0
+
+
+def least(values):
+    """The earliest of the least values, by strict comparison from the
+    first: a NaN never counts as less, so a NaN first value stays."""
+    best = values[0]
+    for v in values[1:]:
+        if v < best:
+            best = v
+    return best
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+VALUES = st.one_of(st.sampled_from([math.nan, -0.0, 0.0, 1.0, -1.0, math.inf, -math.inf]),
+                   st.floats(-4.0, 4.0))
+
+
+class TestIncumbentInvariant:
+    """``fx`` is always the least value ``f`` has returned in this search, the
+    property a floored objective (one that stops evaluating a probe once it
+    cannot go below ``fx``) relies on."""
+
+    @given(values=st.lists(VALUES, min_size=1, max_size=40), d=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 4),
+           max_moves=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_fx_is_the_least_value_returned(self, values, d, seed, levels, max_moves):
+        # the objective replays ``values`` cyclically, one per evaluated row,
+        # and reads the caller's ``fx`` on every call
+        returned = []
+
+        def f(xs):
+            if returned:
+                assert same_bits(inspect.currentframe().f_back.f_locals["fx"], least(returned))
+            out = [values[(len(returned) + i) % len(values)] for i in range(len(xs))]
+            returned.extend(out)
+            return np.array(out)
+
+        _, fx, evals = pattern_search_min(f, np.zeros(d), initial_step=1.0,
+                                          rng=np.random.default_rng(seed), levels=levels,
+                                          max_moves=max_moves)
+        assert same_bits(fx, least(returned))
+        assert evals == len(returned)
+
+    @given(objective=st.sampled_from(OBJECTIVES), case=st.sampled_from(CASES),
+           seed=st.integers(0, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_floored_rows_keep_the_path(self, objective, case, seed, data):
+        # a row whose true value is at or above the least value returned so
+        # far may get any value between that floor and its true value
+        case = dict(case)
+        x0 = np.array(case.pop("x0"))
+        floor = math.inf
+
+        def floored(xs):
+            nonlocal floor
+            out = []
+            for x in xs:
+                value = objective(x)
+                if value >= floor:
+                    value = data.draw(st.floats(min_value=floor, max_value=value))
+                if value < floor:
+                    floor = value
+                out.append(value)
+            return np.array(out)
+
+        gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        got = pattern_search_min(floored, x0, rng=gens[0], **case)
+        want = pattern_search_min(batched(objective), x0, rng=gens[1], **case)
+        assert_same(got, want)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 
 import halfspace as hs
+from halfspace import projection
+from halfspace.harness import ExperimentConfig, realize_trial
 from halfspace.metrics import DecayProfile, normal_cdf
 from halfspace.model import WeightedPointSet
 from halfspace.projection import _BatteryObjective
+from halfspace.rng import make_rng, spawn_seeds
 
 
 def gaussian_family(d: int = 1, sigma: float = 1.0, half: float = 5.0) -> hs.TemplateFamily:
@@ -78,7 +82,7 @@ class TestFamilyDistance:
         # pages back to the OS and fault them in again on every call
         p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 2000, rng=4)
         objective = _BatteryObjective(gaussian_family(d=3, sigma=0.7), p, 128, hs.make_rng(6))
-        n, c = objective.emp_sorted.shape
+        c, n = objective.emp_sorted.shape
         mu = np.array([0.1, -0.2, 0.05])
         tracemalloc.start()
         try:
@@ -86,8 +90,8 @@ class TestFamilyDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * n * c * 8
-        f = normal_cdf((objective.emp_sorted - objective.dirs @ mu) / 0.7)
+        assert peak < n * c * 8
+        f = normal_cdf((objective.emp_sorted - (objective.dirs @ mu)[:, None]) / 0.7)
         want = max(np.max(objective.emp_cdf - f), np.max(f - objective.emp_left), 0.0)
         assert value == want
         assert objective(mu) == value
@@ -96,6 +100,124 @@ class TestFamilyDistance:
         fam = gaussian_family(d=2)
         with pytest.raises(ValueError):
             hs.family_distance([0.0, 0.0], fam, WeightedPointSet.delta([0.0]), budget=8, rng=0)
+
+
+class TestObjectiveMemoryGuard:
+    def test_refuses_arrays_above_the_cap(self, monkeypatch):
+        p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(2), 1.0), 300, rng=1)
+        fam = gaussian_family(d=2)
+        c = len(_BatteryObjective(fam, p, 32, hs.make_rng(0)).dirs)
+        # three resident (c, n) float64 arrays for a continuous template
+        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 3 * 300 * c * 8 - 1)
+        with pytest.raises(ValueError, match=f"n=300 atoms and c={c} directions"):
+            _BatteryObjective(fam, p, 32, hs.make_rng(0))
+        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 3 * 300 * c * 8)
+        _BatteryObjective(fam, p, 32, hs.make_rng(0))
+
+    def test_discrete_template_counts_two_arrays(self, monkeypatch):
+        fam = hs.square_template_family()
+        _, tetra = hs.attack_tetrahedron(5.0)
+        c = len(_BatteryObjective(fam, tetra, 64, hs.make_rng(0)).dirs)
+        n = tetra.consolidate().size
+        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 2 * n * c * 8 - 1)
+        with pytest.raises(ValueError, match="lower budget"):
+            _BatteryObjective(fam, tetra, 64, hs.make_rng(0))
+
+
+def ball_family(d: int = 3, radius: float = 1.0, half: float = 4.0) -> hs.TemplateFamily:
+    return hs.TemplateFamily(hs.NamedDistribution.ball(np.zeros(d), radius),
+                             DecayProfile.uniform_ball(radius, d), np.array([[-half, half]] * d))
+
+
+def cluster_sample(dist, n, seed):
+    clean = hs.sample(dist, n, rng=seed)
+    return hs.adaptive_corrupt_samples(clean, 0.1, hs.constant_cluster([50.0, 0.0, 0.0]),
+                                       rng=seed + 1)
+
+
+def counted_estimate(monkeypatch, floored, p, family, **kw):
+    """``project_estimate`` and the number of normal-CDF elements it took;
+    with ``floored=False`` every search gets the exact objective."""
+    elements = []
+
+    def counting_cdf(x):
+        elements.append(np.size(x))
+        return normal_cdf(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(projection, "normal_cdf", counting_cdf)
+        if not floored:
+            m.setattr(_BatteryObjective, "floored", lambda self: self.batch)
+        res = hs.project_estimate(p, family, **kw)
+    return res, sum(elements)
+
+
+class TestFlooredSearch:
+    """Each pattern search gets an objective that stops evaluating a probe
+    once it cannot beat that search's incumbent; the searches still take the
+    same path as with exact values."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("template", ["gaussian", "ball"])
+    def test_same_result_as_exact_searches(self, monkeypatch, template, seed):
+        if template == "gaussian":
+            family = gaussian_family(d=3, half=4.0)
+            dist = hs.NamedDistribution.gaussian(np.zeros(3), 1.0)
+        else:
+            family = ball_family()
+            dist = hs.NamedDistribution.ball(np.zeros(3), 1.0)
+        p = cluster_sample(dist, 1000, 40 + 2 * seed)
+        kw = dict(starts=2, budget=48, steps=8, rng=60 + seed, tukey_start=seed == 0)
+        got, _ = counted_estimate(monkeypatch, True, p, family, **kw)
+        want, _ = counted_estimate(monkeypatch, False, p, family, **kw)
+        assert got.mu_hat.tobytes() == want.mu_hat.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        assert got.evaluations == want.evaluations
+
+    def test_rejected_probe_stops_at_the_first_block_reaching_the_floor(self, monkeypatch):
+        p = cluster_sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 1000, 7)
+        objective = _BatteryObjective(gaussian_family(d=3, half=4.0), p, 48, hs.make_rng(3))
+        c, n = objective.emp_sorted.shape
+
+        def per_direction(mu):
+            f = normal_cdf(objective.emp_sorted - (objective.dirs @ mu)[:, None])
+            return np.maximum(np.max(objective.emp_cdf - f, axis=1),
+                              np.max(f - objective.emp_left, axis=1))
+
+        incumbent, probe = np.zeros(3), np.array([0.6, -0.3, 0.2])
+        floor = per_direction(incumbent).max()
+        order = np.argsort(-per_direction(incumbent), kind="stable")
+        running = np.maximum.accumulate(per_direction(probe)[order])
+        assert running[-1] >= floor
+        needed = int(np.argmax(running >= floor)) + 1
+        # blocks of 1, 2, 4, ... directions, most promising first
+        taken = next(2 ** k - 1 for k in range(1, 64) if 2 ** k - 1 >= needed)
+        f = objective.floored()
+        elements = []
+        assert f(incumbent[None])[0] == floor
+        with monkeypatch.context() as m:
+            m.setattr(projection, "normal_cdf",
+                      lambda x: elements.append(np.size(x)) or normal_cdf(x))
+            value = f(probe[None])[0]
+        assert sum(elements) == taken * n < c * n
+        assert value == running[taken - 1]
+
+    def test_criterion_5_trial_takes_a_quarter_of_the_cdf_work(self, monkeypatch):
+        dist = hs.NamedDistribution.gaussian(np.zeros(3), 1.0)
+        family = hs.TemplateFamily(dist, DecayProfile.gaussian(1.0), np.array([[-4.0, 4.0]] * 3))
+        cfg = ExperimentConfig("projection", dist, hs.AttackSpec("shift_cluster", 0.1, 50.0),
+                               "adaptive_samples", n=5000, trials=1, seed=0, budget=48,
+                               template=family, proj_starts=0, proj_steps=8,
+                               proj_tukey_start=False)
+        rng = make_rng(spawn_seeds(7000, 2)[1])
+        p = realize_trial(cfg, 0.1, rng)
+        kw = dict(starts=0, budget=48, steps=8, tukey_start=False)
+        twin = copy.deepcopy(rng)
+        got, work = counted_estimate(monkeypatch, True, p, family, rng=rng, **kw)
+        want, exact_work = counted_estimate(monkeypatch, False, p, family, rng=twin, **kw)
+        assert got.mu_hat.tobytes() == want.mu_hat.tobytes()
+        assert got.evaluations == want.evaluations
+        assert work <= 0.25 * exact_work
 
 
 class TestProjectEstimate:
