@@ -27,13 +27,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import WeightedPointSet, as_point
+from .model import ConfigError, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
 ORACLE_SUBSET_GUARD = 10 ** 6
 _WITNESS_RETRIES = 60
 _SWEEP_BLOCK = 20_000   # critical angles per planar-sweep block (bounds temporaries)
 _SECTOR_MIN = 1e-13     # narrower planar sectors are rounding artefacts
+_SCORER_BYTES_CAP = 2 ** 30   # resident (c, n) arrays of one BatteryScorer
+_BLOCK_ROWS = 64              # largest block of directions one scoring step takes
+_BUILD_PAIRS = 125_000        # atom x direction projections per construction chunk
+_SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
+_LOOP_KEYS = 128              # more keys per row than this: search row by row
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,43 +481,128 @@ def suffix_masses(sorted_weights: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_searchsorted(a: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Binary search of many keys in many sorted rows at once.
+
+    ``a`` (c, n) has ascending rows; ``keys`` (B, m) holds m finite keys for
+    each of the B rows ``rows`` (B,) of ``a``.
+    Entry (j, i) of the result is ``np.searchsorted(a[rows[j]], keys[j, i],
+    side="left")``: the number of entries of that row below the key.
+
+    With few keys per row, all B·m searches advance together, one halving
+    step at a time, so a block of directions costs about log2(n) vectorized
+    comparisons and no Python loop over its rows. With more than
+    ``_LOOP_KEYS`` keys per row, a loop over the rows that searches each
+    row's keys in ascending order (each search then starts where the last
+    ended) is faster.
+    """
+    n = a.shape[1]
+    if keys.shape[1] > _LOOP_KEYS:
+        pos = np.empty(keys.shape, dtype=np.intp)
+        for j, row in enumerate(rows):
+            ascending = np.argsort(keys[j])
+            pos[j, ascending] = np.searchsorted(a[row], keys[j, ascending], side="left")
+        return pos
+    flat = a.ravel()
+    base = (rows * n - 1)[:, None]            # flat index of each row's rank -1
+    # Shar's uniform search: the first test settles whether the count is
+    # below the largest power of two p <= n or at least n - p + 1, leaving a
+    # window of p values that the steps p/2, ..., 1 resolve in bounds; q
+    # tracks base + count
+    p = 1 << (n.bit_length() - 1)
+    q = base + np.where(flat[base + p] < keys, n - p + 1, 0)
+    trial = np.empty(keys.shape, dtype=np.intp)
+    below = np.empty(keys.shape, dtype=bool)
+    step = p >> 1
+    while step:
+        np.add(q, step, out=trial)
+        np.less(flat.take(trial), keys, out=below)
+        np.copyto(q, trial, where=below)
+        step >>= 1
+    return q - base
+
+
 class BatteryScorer:
     """Depth upper bounds for many query points under one shared direction
     battery: the minimum over directions of the closed mass at each query.
 
     Atom projections are sorted once per direction at construction and kept
-    as contiguous (c, n) rows, one per direction, beside the (c, n + 1)
-    suffix masses of the sorted weights; a query then costs one binary
-    search per direction. This is what makes scoring every atom and midpoint
-    of a large sample (and running a local search on top) affordable.
-    Retains roughly ``16 * n * len(dirs)`` bytes, built in chunks of
-    directions so construction never holds much more.
+    in one contiguous (c, n) array, one row per direction, beside one
+    (c, n + 1) array of the suffix masses of the sorted weights; a query then
+    costs one binary search per direction. This is what makes scoring every
+    atom and midpoint of a large sample (and running a local search on top)
+    affordable. Retains ``8 * c * (2 * n + 1)`` bytes (about 16·n·c) for n
+    atoms and c directions, built in chunks of directions so construction
+    never holds much more, and refuses (``ConfigError``, a ``ValueError``) a
+    battery that would retain more than ``_SCORER_BYTES_CAP``.
+
+    :meth:`bounded_scores` scores in blocks of directions and stops scoring a
+    query once it falls below a floor; :meth:`scores` is its floor-free case.
     """
 
     def __init__(self, p: WeightedPointSet, dirs: np.ndarray):
+        n, c = p.size, len(dirs)
+        resident = 8 * c * (2 * n + 1)
+        if resident > _SCORER_BYTES_CAP:
+            raise ConfigError(
+                f"battery scorer needs {resident} bytes for n={n} atoms and c={c} "
+                f"directions, above the {_SCORER_BYTES_CAP}-byte cap; use a lower budget")
         self.dirs = dirs
-        self._chunks = []
-        chunk_size = max(1, 2_000_000 // max(1, p.size))
-        for start in range(0, len(dirs), chunk_size):
-            chunk = dirs[start:start + chunk_size]
-            sorted_proj, w_sorted = sort_projections(_project_rows(p.points, chunk), p.weights)
-            self._chunks.append((chunk, sorted_proj, suffix_masses(w_sorted)))
+        self._sorted = np.empty((c, n))
+        self._suffix = np.empty((c, n + 1))
+        chunk_size = max(1, _BUILD_PAIRS // max(1, n))
+        for start in range(0, c, chunk_size):
+            rows = slice(start, start + chunk_size)
+            ranked, w_sorted = sort_projections(_project_rows(p.points, dirs[rows]), p.weights)
+            self._sorted[rows] = ranked
+            del ranked                        # before the suffix temporaries
+            self._suffix[rows] = suffix_masses(w_sorted)
+
+    def _masses(self, rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """(B, m) closed masses of ``candidates`` (m, d) along the directions
+        ``rows`` (B,). Each entry has the same bits in any batch: projections
+        are summed coordinate by coordinate, and the mass is the suffix sum
+        from the key's rank."""
+        keys = _project_rows(candidates, self.dirs[rows])
+        return self._suffix[rows[:, None], row_searchsorted(self._sorted, keys, rows)]
+
+    def masses(self, point: np.ndarray) -> np.ndarray:
+        """The closed mass at ``point`` along every direction, (c,)."""
+        return self._masses(np.arange(len(self.dirs)), point[None, :])[:, 0]
+
+    def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf,
+                       order: np.ndarray | None = None) -> np.ndarray:
+        """Scores of the rows of ``candidates`` (m, d) that stay at or above
+        ``floor``.
+
+        Directions are taken in ``order`` (battery order if None), in blocks
+        of 1, 2, 4, ... (at most ``_BLOCK_ROWS``), and a query is no longer
+        scored once its running minimum drops below ``floor``. A query whose
+        score is at or above ``floor`` gets that exact score; any other gets
+        its running minimum, which lies below ``floor`` and at or above its
+        score. The order changes no bits: a minimum is exact.
+        """
+        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+        if order is None:
+            order = np.arange(len(self.dirs))
+        best = np.full(candidates.shape[0], math.inf)
+        live = np.arange(candidates.shape[0])
+        start, size = 0, 1
+        while start < len(order) and live.size:
+            rows = order[start:start + size]
+            cols = max(1, _SCORE_PAIRS // len(rows))
+            for at in range(0, live.size, cols):
+                part = live[at:at + cols]
+                block = self._masses(rows, candidates[part]).min(axis=0)
+                best[part] = np.minimum(best[part], block)
+            live = live[best[live] >= floor]
+            start += size
+            size = min(2 * size, _BLOCK_ROWS)
+        return best
 
     def scores(self, candidates: np.ndarray) -> np.ndarray:
         """Depth upper bound of each row of ``candidates`` (m, d)."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        best = np.full(candidates.shape[0], math.inf)
-        pos = np.empty(candidates.shape[0], dtype=np.intp)
-        rows = max(1, 1_000_000 // max(1, candidates.shape[0]))  # bounds projection temporaries
-        for chunk, sorted_proj, suffix in self._chunks:
-            for start in range(0, chunk.shape[0], rows):
-                cand_proj = _project_rows(candidates, chunk[start:start + rows])
-                for j, col in enumerate(cand_proj, start):
-                    # binary searches for ascending keys narrow each other's range
-                    order = np.argsort(col)
-                    pos[order] = np.searchsorted(sorted_proj[j], col[order], side="left")
-                    np.minimum(best, suffix[j, pos], out=best)
-        return best
+        return self.bounded_scores(candidates)
 
     def score(self, point: np.ndarray) -> float:
         return float(self.scores(point[None, :])[0])

@@ -24,17 +24,13 @@ from .depth import depth_oracle, depth_sampled
 from .median import coordinatewise_median, median_1d, median_candidates, median_refine
 from .metrics import (DecayProfile, bias_bound_additive, bias_bound_projection,
                       bias_bound_tv, decay_for, epsilon_tilde)
-from .model import DISCRETE_ATOMS, NamedDistribution, WeightedPointSet, sample
+from .model import DISCRETE_ATOMS, ConfigError, NamedDistribution, WeightedPointSet, sample
 from .projection import TemplateFamily, project_estimate, square_template_family
 from .rng import make_rng, seed_fingerprint, spawn_seeds
 
 CSV_COLUMNS = ("trial", "estimator", "attack", "mode", "eps", "eps_tilde",
                "n", "d", "error", "score", "bound", "seed", "ms")
 ESTIMATORS = ("tukey", "projection", "cwise_median")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,11 @@ def coordinatewise_median(p: WeightedPointSet) -> np.ndarray:
     return out
 
 
-def _candidate_pool(p: WeightedPointSet, extra, midpoint_cap: int,
+def _candidate_pool(p: WeightedPointSet, seed: np.ndarray, extra, midpoint_cap: int,
                     rng: np.random.Generator) -> np.ndarray:
     pts = p.points
     n = pts.shape[0]
-    pool = [pts, p.mean()[None, :], coordinatewise_median(p)[None, :]]
+    pool = [pts, p.mean()[None, :], seed[None, :]]
     if n >= 2:
         if math.comb(n, 2) <= midpoint_cap:
             ii, jj = np.triu_indices(n, k=1)
@@ -86,15 +86,48 @@ def _candidate_pool(p: WeightedPointSet, extra, midpoint_cap: int,
     return np.unique(np.vstack(pool), axis=0)
 
 
-def _scorer(p: WeightedPointSet, engine: str, budget: int, rng: np.random.Generator):
-    """Batched depth scores ``xs (m, d) -> (m,)`` under ``engine``. The
-    sampled engine draws its direction battery from ``rng`` here."""
-    if engine == "sampled":
-        dirs = direction_battery(p.points, budget, rng, anchor="difference")
-        return BatteryScorer(p, dirs).scores
+def _battery_scorer(p: WeightedPointSet, budget: int, rng: np.random.Generator) -> BatteryScorer:
+    """The sampled engine's scorer, on a direction battery drawn from ``rng``."""
+    return BatteryScorer(p, direction_battery(p.points, budget, rng, anchor="difference"))
+
+
+def _exact_scorer(p: WeightedPointSet, engine: str):
+    """Batched exact depths ``xs (m, d) -> (m,)`` under ``engine``."""
     if engine == "sweep2d":
         return lambda xs: depth_2d_sweep_many(p, xs)[0]
     return lambda xs: np.array([compute_depth(p, x, engine=engine).value for x in xs])
+
+
+def _floored_neg_depth(scorer: BatteryScorer):
+    """A fresh objective ``xs (m, d) -> -scores`` for one pattern search.
+
+    Its floor is the largest score it has returned so far. A probe whose
+    running minimum over directions reaches the floor cannot beat it, so
+    scoring stops there and the probe gets that running minimum: at most
+    the floor and at least its score. Any other probe gets its exact score.
+    Directions go in ascending order of the masses of the last probe scored
+    above the floor (the best so far), so most rejected probes stop after a
+    few directions.
+
+    ``pattern_search_min`` accepts a probe only when its value is strictly
+    below ``fx``, which is minus this floor, so it accepts the same probes,
+    with the same exact values, and returns the same ``(x, fx, evals)`` as
+    with exact scores.
+    """
+    floor, order = -math.inf, None
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        nonlocal floor, order
+        # a running minimum at or below the floor stops: the search needs
+        # a strict improvement
+        depths = scorer.bounded_scores(xs, np.nextafter(floor, math.inf), order)
+        best = int(np.argmax(depths))
+        if depths[best] > floor:
+            floor = float(depths[best])
+            order = np.argsort(scorer.masses(xs[best]), kind="stable")
+        return -depths
+
+    return objective
 
 
 def _resolve_engine(p: WeightedPointSet, pool_size: int, engine: str) -> str:
@@ -120,12 +153,28 @@ def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
     is a lower bound on the true maximum depth under exact engines; under
     the sampled engine every candidate is scored against one shared seeded
     direction battery.
+
+    Under the sampled engine the coordinate-wise median (always in the
+    pool) is scored first, in full; a lone query scores as its pool row
+    does, so its score L is at most the top score.
+    The pool is then scored with floor ``L - 1e-12``
+    (:meth:`BatteryScorer.bounded_scores`): a candidate stops being scored
+    once its running minimum drops below the floor, so it keeps a value
+    below ``top - 1e-12`` and cannot join the tie set, while every candidate
+    that can is scored exactly. The top score, the tie set and the chosen
+    point keep their bits.
     """
     gen = make_rng(rng)
     merged = p.consolidate()
-    pool = _candidate_pool(merged, extra, midpoint_cap, gen)
+    seed = coordinatewise_median(merged)
+    pool = _candidate_pool(merged, seed, extra, midpoint_cap, gen)
     eng = _resolve_engine(merged, len(pool), engine)
-    scores = _scorer(merged, eng, budget, gen)(pool)
+    if eng == "sampled":
+        scorer = _battery_scorer(merged, budget, gen)
+        low = scorer.scores(seed[None, :])[0]
+        scores = scorer.bounded_scores(pool, low - 1e-12)
+    else:
+        scores = _exact_scorer(merged, eng)(pool)
     top = float(np.max(scores))
     tied = pool[scores >= top - 1e-12]
     center = merged.mean()
@@ -146,6 +195,11 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     diagonal); a move is accepted only when the depth strictly increases,
     so the returned depth never falls below the start's. Deterministic
     given the seed.
+
+    Under the sampled engine the search minimizes
+    :func:`_floored_neg_depth`, so a probe that cannot beat the incumbent
+    costs only the directions it takes to prove it; the path, the generator
+    draws, the evaluation count and the result are those of exact scoring.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -154,11 +208,15 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     merged = p.consolidate()
     probe_evals = 96 + 12 * steps  # pattern-search budget drives the engine choice
     eng = _resolve_engine(merged, probe_evals, engine)
-    scores = _scorer(merged, eng, budget, gen)
+    if eng == "sampled":
+        scorer = _battery_scorer(merged, budget, gen)
+        depths, objective = scorer.scores, _floored_neg_depth(scorer)
+    else:
+        depths = _exact_scorer(merged, eng)
+        objective = lambda xs: -depths(xs)  # noqa: E731
     diameter = float(np.linalg.norm(np.ptp(merged.points, axis=0)))
     if steps == 0:
-        return MedianResult(start, float(scores(start[None, :])[0]), 1, "refined")
+        return MedianResult(start, float(depths(start[None, :])[0]), 1, "refined")
     point, neg_depth, evals = pattern_search_min(
-        lambda xs: -scores(xs), start, initial_step=diameter / 4.0, rng=gen,
-        levels=8, max_moves=steps)
+        objective, start, initial_step=diameter / 4.0, rng=gen, levels=8, max_moves=steps)
     return MedianResult(point, -neg_depth, evals, "refined")

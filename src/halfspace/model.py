@@ -26,6 +26,10 @@ DISCRETE_ATOMS = "discrete_atoms"
 DISTRIBUTION_VARIANTS = (GAUSSIAN, UNIFORM_BALL, DISCRETE_ATOMS)
 
 
+class ConfigError(ValueError):
+    """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
 def as_point(x) -> np.ndarray:
     """Validate and return a finite 1-d coordinate vector."""
     p = np.asarray(x, dtype=float)

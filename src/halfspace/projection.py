@@ -27,7 +27,7 @@ import numpy as np
 from .depth import direction_battery, sort_projections
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
-from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
+from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, ConfigError, NamedDistribution,
                     WeightedPointSet, as_point)
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
@@ -125,8 +125,9 @@ class _BatteryObjective:
     per direction, and evaluates a center in blocks of at most
     ``_BLOCK_ROWS`` rows, so no per-probe temporary is (n, c). A discrete
     template keeps its sorted projections and weights as (n, c) columns, the
-    layout ``_discrete_sup``'s einsum sums in. Construction refuses a
-    battery whose resident arrays would exceed ``_OBJECTIVE_BYTES_CAP``.
+    layout ``_discrete_sup``'s einsum sums in. Construction refuses
+    (``ConfigError``) a battery whose resident arrays would exceed
+    ``_OBJECTIVE_BYTES_CAP``.
 
     Calling the objective gives exact values; ``floored()`` gives the
     objective one pattern search minimizes, which may stop evaluating a
@@ -145,7 +146,7 @@ class _BatteryObjective:
         n, c = p_hat.size, len(self.dirs)
         resident = (2 if discrete else 3) * n * c * 8
         if resident > _OBJECTIVE_BYTES_CAP:
-            raise ValueError(
+            raise ConfigError(
                 f"projection objective needs {resident} bytes for n={n} atoms and "
                 f"c={c} directions, above the {_OBJECTIVE_BYTES_CAP}-byte cap; "
                 "use a lower budget")

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfspace as hs
-from halfspace.depth import BatteryScorer, sort_projections, suffix_masses
-from halfspace.model import WeightedPointSet
+from halfspace import depth
+from halfspace.depth import BatteryScorer, row_searchsorted, sort_projections, suffix_masses
+from halfspace.model import ConfigError, WeightedPointSet
 
 
 def uniform(points) -> WeightedPointSet:
@@ -375,14 +376,14 @@ class TestBatteryScorer:
         assert got[1].tolist() == [(0.3 + 0.2) + 0.1, 0.3 + 0.2, 0.3, 0.0]
 
     def test_chunked_build_matches_column_layout(self):
-        # ~1500 directions at n = 2000 span two construction chunks
+        # ~1500 directions at n = 2000 span many construction chunks
         rng = hs.make_rng(3)
         pts = rng.standard_normal((2000, 3))
         pts[1000:1100] = pts[:100]
         w = rng.random(2000)
         p = WeightedPointSet(pts, w / w.sum())
         dirs = hs.direction_battery(pts, 512, hs.make_rng(4), anchor="difference")
-        assert len(dirs) > 2_000_000 // p.size
+        assert len(dirs) > depth._BUILD_PAIRS // p.size
         queries = np.vstack([pts[:50], rng.standard_normal((50, 3))])
         scorer = BatteryScorer(p, dirs)
         want = self.column_layout_scores(p, dirs, queries)
@@ -397,3 +398,108 @@ class TestBatteryScorer:
             assert np.float64(one).tobytes() == row.tobytes()
             closed = np.min(((pts - q) @ dirs.T >= 0.0).T @ p.weights)
             assert one >= closed - 1e-12
+
+
+@st.composite
+def search_cases(draw):
+    """Ascending integer-valued rows with ties and signed zeros, and per-row
+    keys that hit entries, fall between them, sit below the first entry or
+    above the last, or are -0.0 / +0.0."""
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    values = st.integers(-3, 3).map(float)
+    a = np.sort(np.array(draw(st.lists(values, min_size=c * n, max_size=c * n))).reshape(c, n),
+                axis=1)
+    signs = np.array(draw(st.lists(st.booleans(), min_size=c * n, max_size=c * n)))
+    a[(a == 0.0) & signs.reshape(c, n)] = -0.0
+    rows = np.array(draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=5)))
+    # widths on both sides of the row-by-row threshold
+    m = draw(st.sampled_from([1, 2, 3, 7, depth._LOOP_KEYS + 1]))
+    key = st.one_of(st.integers(-5, 5).map(lambda k: 0.5 * k), st.sampled_from([0.0, -0.0]))
+    keys = np.array(draw(st.lists(key, min_size=len(rows) * m, max_size=len(rows) * m)))
+    return a, keys.reshape(len(rows), m), rows
+
+
+class TestRowSearchsorted:
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases())
+    def test_equals_searchsorted_on_every_row(self, case):
+        a, keys, rows = case
+        want = np.array([np.searchsorted(a[r], k, side="left") for r, k in zip(rows, keys)])
+        got = row_searchsorted(a, keys, rows)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+
+    def test_ties_signed_zeros_and_ends(self):
+        a = np.array([[0.0, 1.0, 1.0, 2.0], [-1.0, -0.0, 0.0, 5.0]])
+        keys = np.array([[1.0, -1.0, 9.0], [0.0, -0.0, -2.0], [2.0, 0.5, -0.0]])
+        got = row_searchsorted(a, keys, np.array([0, 1, 0]))
+        assert got.tolist() == [[1, 0, 4], [1, 1, 0], [3, 1, 0]]
+
+
+class TestBoundedScores:
+    @staticmethod
+    def setup_case(seed):
+        rng = hs.make_rng(seed)
+        p = uniform(np.round(2.0 * rng.standard_normal((80, 3))) / 2.0)   # ties, duplicates
+        dirs = hs.direction_battery(p.consolidate().points, 48, hs.make_rng(seed + 1),
+                                    anchor="difference")
+        queries = np.vstack([p.points[:20], 0.25 * rng.standard_normal((40, 3))])
+        return BatteryScorer(p, dirs), queries
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_survivors_exact_and_pruned_between_score_and_floor(self, seed):
+        scorer, queries = self.setup_case(seed)
+        exact = scorer.scores(queries)
+        order = np.random.default_rng(seed).permutation(len(scorer.dirs))
+        for floor in np.unique(exact):
+            for o in (None, order):
+                got = scorer.bounded_scores(queries, floor, o)
+                keep = exact >= floor
+                assert got[keep].tobytes() == exact[keep].tobytes()
+                assert np.all(got[~keep] >= exact[~keep]) and np.all(got[~keep] < floor)
+
+    def test_stops_at_the_first_block_below_the_floor(self, monkeypatch):
+        # blocks of 1, 2, 4, ... directions in the given order: a query whose
+        # k-th direction is the first below the floor takes the blocks that
+        # reach k, and returns the running minimum over exactly those
+        scorer, queries = self.setup_case(3)
+        q = queries[25]
+        masses = scorer.masses(q)
+        floor = float(np.median(masses))
+        order = np.argsort(-masses, kind="stable")       # the lowest masses come last
+        first = int(np.argmax(masses[order] < floor))
+        assert masses[order[first]] < floor and first > 8
+        sizes, start = [], 0
+        while start <= first:
+            sizes.append(min(2 ** len(sizes), depth._BLOCK_ROWS, len(order) - start))
+            start += sizes[-1]
+        seen = []
+        real = depth.row_searchsorted
+        monkeypatch.setattr(depth, "row_searchsorted",
+                            lambda a, keys, rows: (seen.append(len(rows)),
+                                                   real(a, keys, rows))[1])
+        got = scorer.bounded_scores(q[None, :], floor, order)[0]
+        assert seen == sizes
+        assert got == masses[order[:start]].min() < floor
+
+    def test_scores_is_the_floor_free_case(self):
+        scorer, queries = self.setup_case(4)
+        assert scorer.scores(queries).tobytes() == \
+            scorer.bounded_scores(queries, -np.inf).tobytes()
+        assert all(scorer.masses(q).min() == s for q, s in zip(queries, scorer.scores(queries)))
+
+
+class TestScorerMemoryGuard:
+    def test_cap_is_the_resident_size(self, monkeypatch):
+        rng = hs.make_rng(7)
+        p = uniform(rng.standard_normal((300, 3)))
+        dirs = hs.direction_battery(p.points, 32, hs.make_rng(8), anchor="difference")
+        c = len(dirs)
+        resident = 8 * c * (2 * 300 + 1)
+        monkeypatch.setattr(depth, "_SCORER_BYTES_CAP", resident - 1)
+        with pytest.raises(ConfigError, match=f"{resident} bytes for n=300 atoms and c={c} "
+                                              "directions.*lower budget"):
+            BatteryScorer(p, dirs)
+        monkeypatch.setattr(depth, "_SCORER_BYTES_CAP", resident)
+        scorer = BatteryScorer(p, dirs)
+        assert scorer._sorted.nbytes + scorer._suffix.nbytes == resident

@@ -220,6 +220,14 @@ class TestCli:
         assert main([*argv, "--dist", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_median_above_the_scorer_memory_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hs.depth, "_SCORER_BYTES_CAP", 0)
+        path = tmp_path / "g.csv"
+        path.write_text(hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 50,
+                                  rng=1).to_csv())
+        assert main(["median", "--dist", str(path), "--engine", "sampled", "--budget", "8"]) == 2
+        assert "lower budget" in capsys.readouterr().err
+
     def test_sweep_bias_end_to_end(self, tmp_path):
         cfg = {"estimator": "cwise_median",
                "distribution": {"variant": "gaussian_isotropic", "center": [0, 0, 0],

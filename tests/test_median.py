@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import halfspace as hs
-from halfspace.depth import BatteryScorer
+from halfspace import depth
+from halfspace.depth import BatteryScorer, _project_rows
 from halfspace.model import WeightedPointSet
 
 
@@ -170,6 +171,126 @@ class TestSweep2dWiring:
         assert got.point.tobytes() == want.point.tobytes()
         assert got.achieved_depth == want.achieved_depth
         assert got.candidate_count == want.candidate_count
+
+
+def full_scores(self, candidates, floor=-np.inf, order=None):
+    """Reference for ``BatteryScorer.bounded_scores``: every candidate
+    scored exactly on every direction, one ``np.searchsorted`` per row."""
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    keys = _project_rows(candidates, self.dirs)
+    best = np.full(len(candidates), np.inf)
+    for j, row in enumerate(keys):
+        pos = np.searchsorted(self._sorted[j], row, side="left")
+        np.minimum(best, self._suffix[j, pos], out=best)
+    return best
+
+
+def corrupted_gaussian(n, seed, shift=0.0):
+    """The ``tukey_sampled_3d`` benchmark config's data at sample size n."""
+    clean = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), n, rng=seed)
+    p = hs.adaptive_corrupt_samples(clean, 0.1, hs.constant_cluster([50.0, 0.0, 0.0]),
+                                    rng=seed + 1)
+    return WeightedPointSet(p.points + shift, p.weights)
+
+
+def adversarial(kind):
+    rng = hs.make_rng(17)
+    if kind == "duplicates":
+        pts = np.round(rng.standard_normal((90, 3)))
+        return uniform(np.vstack([pts, pts[:40]]))
+    if kind == "coplanar":
+        pts = rng.standard_normal((120, 3))
+        pts[:, 2] = 0.0
+        return uniform(pts)
+    if kind == "signed_zeros":
+        pts = np.round(rng.standard_normal((120, 3)))
+        pts[pts == 0.0] = -0.0
+        return uniform(pts)
+    return corrupted_gaussian(300, 5, shift=1e7)
+
+
+class TestBoundedScoring:
+    """Under the sampled engine the pool and the refine probes are scored
+    with a floor; the results must be those of exact full scoring, bit for
+    bit, with the same generator draws."""
+
+    @staticmethod
+    def both_runs(monkeypatch, p, seed):
+        out = []
+        for exact in (False, True):
+            with monkeypatch.context() as m:
+                if exact:
+                    m.setattr(BatteryScorer, "bounded_scores", full_scores)
+                gen = np.random.default_rng(seed)
+                cand = hs.median_candidates(p, engine="sampled", budget=64,
+                                            midpoint_cap=500, rng=gen)
+                ref = hs.median_refine(p, cand.point, engine="sampled", steps=8,
+                                       budget=64, rng=gen)
+                out.append((cand.point.tobytes(), cand.achieved_depth, cand.candidate_count,
+                            ref.point.tobytes(), ref.achieved_depth, ref.candidate_count,
+                            gen.bit_generator.state))
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_config_matches_full_scoring(self, seed, monkeypatch):
+        pruned, exact = self.both_runs(monkeypatch, corrupted_gaussian(400, seed), seed)
+        assert pruned == exact
+
+    @pytest.mark.parametrize("kind", ["duplicates", "coplanar", "signed_zeros", "translated"])
+    def test_adversarial_sets_match_full_scoring(self, kind, monkeypatch):
+        pruned, exact = self.both_runs(monkeypatch, adversarial(kind), 3)
+        assert pruned == exact
+
+    def test_refine_objective_floors_rejected_probes(self, monkeypatch):
+        p = corrupted_gaussian(400, 0).consolidate()
+        scorer = BatteryScorer(p, hs.direction_battery(p.points, 64, hs.make_rng(1),
+                                                       anchor="difference"))
+        start = hs.coordinatewise_median(p)
+        probes = start + 0.05 * hs.make_rng(2).standard_normal((24, 3))
+        exact = scorer.scores(probes)
+        floor = scorer.score(start)
+        calls = []
+        real = BatteryScorer.bounded_scores
+
+        def recording(self, candidates, floor=-np.inf, order=None):
+            calls.append((floor, order))
+            return real(self, candidates, floor, order)
+
+        monkeypatch.setattr(BatteryScorer, "bounded_scores", recording)
+        objective = hs.median._floored_neg_depth(scorer)
+        assert objective(start[None, :])[0] == -floor
+        values = -objective(probes)
+        above = exact > floor
+        assert above.any() and not above.all()
+        assert values[above].tobytes() == exact[above].tobytes()
+        assert np.all(values[~above] <= floor) and np.all(values[~above] >= exact[~above])
+        # the probe call used the start's floor and its masses in ascending order
+        assert calls[1][0] == np.nextafter(floor, np.inf)
+        assert np.array_equal(calls[1][1], np.argsort(scorer.masses(start), kind="stable"))
+        # the best probe is the next incumbent
+        best = int(np.argmax(exact))
+        objective(probes[:1])
+        assert calls[2][0] == np.nextafter(exact[best], np.inf)
+        assert np.array_equal(calls[2][1], np.argsort(scorer.masses(probes[best]), kind="stable"))
+
+    def test_pool_scoring_skips_most_pairs(self, monkeypatch):
+        # the benchmark config as shipped: n = 2000, budget 256, midpoint cap 2000
+        p = corrupted_gaussian(2000, 0)
+        pairs, sizes = [], []
+        real_search, real_init = depth.row_searchsorted, BatteryScorer.__init__
+
+        def counting_search(a, keys, rows):
+            pairs.append(keys.size)
+            return real_search(a, keys, rows)
+
+        def sized_init(self, q, dirs):
+            sizes.append(len(dirs))
+            real_init(self, q, dirs)
+
+        monkeypatch.setattr(depth, "row_searchsorted", counting_search)
+        monkeypatch.setattr(BatteryScorer, "__init__", sized_init)
+        res = hs.median_candidates(p, engine="sampled", budget=256, midpoint_cap=2000, rng=0)
+        assert sum(pairs) <= 0.15 * res.candidate_count * sizes[0]
 
 
 class TestCoordinatewiseMedian:
