@@ -75,13 +75,20 @@ def _check_depth_args(args, p: WeightedPointSet):
         raise ConfigError(f"--budget must be at least 1, got {args.budget}")
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--config", help="JSON experiment config file")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--timing", action="store_true",
-                     help="record wall-clock ms per row (breaks byte-identical reruns)")
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--config": dict(required=True, help="JSON experiment config file"),
+    "--out": dict(help="output path (default: stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--timing": dict(action="store_true",
+                     help="record wall-clock ms per row (breaks byte-identical reruns)"),
+}
+
+
+def _add_shared(sub: argparse.ArgumentParser, *flags: str):
+    """Register the shared ``flags`` a subcommand reads, and no others."""
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point", required=True)
     sp.add_argument("--engine", default="auto", choices=DEPTH_ENGINES)
     sp.add_argument("--budget", type=int, default=2048)
-    _add_common(sp)
+    _add_shared(sp, "--seed")
 
     sp = subs.add_parser("median", help="approximate Tukey median of a distribution")
     sp.add_argument("--dist", required=True)
     sp.add_argument("--engine", default="auto", choices=DEPTH_ENGINES)
     sp.add_argument("--budget", type=int, default=2048)
-    _add_common(sp)
+    _add_shared(sp, "--seed")
 
     sp = subs.add_parser("estimate", help="halfspace-metric projection estimate")
     sp.add_argument("--dist", required=True)
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=1024)
     sp.add_argument("--starts", type=int, default=2)
     sp.add_argument("--steps", type=int, default=48)
-    _add_common(sp)
+    _add_shared(sp, "--seed")
 
     sp = subs.add_parser("attack", help="materialize a named corruption construction")
     sp.add_argument("--variant", required=True,
@@ -117,18 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.25)
     sp.add_argument("--dist", help="clean input distribution (defaults per variant)")
     sp.add_argument("--out-star", help="also write the clean distribution here")
-    _add_common(sp)
+    _add_shared(sp, "--out", "--format")
 
     sp = subs.add_parser("bounds", help="evaluate a worst-case bias bound")
     sp.add_argument("--model", required=True, choices=("additive", "tv", "projection"))
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--decay", required=True, help="gaussian:SIGMA | ball:R:D | piecewise:FILE")
-    _add_common(sp)
 
     sp = subs.add_parser("sweep-bias", help="bias vs corruption level")
     sp.add_argument("--eps-grid", required=True, help="comma-separated levels")
-    _add_common(sp)
+    _add_shared(sp, "--config", "--out", "--format", "--timing")
 
     sp = subs.add_parser("sweep-breakdown", help="drive a construction to large z")
     sp.add_argument("--estimator", required=True, choices=("tukey", "projection", "cwise_median"))
@@ -136,19 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("tetrahedron", "pointmass_1d", "ball_additive"))
     sp.add_argument("--z-grid", required=True, help="comma-separated distances")
     sp.add_argument("--n", type=int, default=5000)
-    _add_common(sp)
+    _add_shared(sp, "--seed", "--out", "--format", "--timing")
 
     sp = subs.add_parser("sweep-scaling", help="error vs sample size")
     sp.add_argument("--n-grid", required=True, help="comma-separated sample sizes")
-    _add_common(sp)
+    _add_shared(sp, "--config", "--out", "--format", "--timing")
 
     return parser
-
-
-def _require_config(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("this subcommand needs --config <json>")
-    return ExperimentConfig.from_json(Path(args.config).read_text())
 
 
 def _emit_report(report, args):
@@ -205,7 +205,7 @@ def _run(args) -> int:
         print(float(fn(h, args.eps, args.d).value))
         return 0
     if args.command == "sweep-bias":
-        config = _require_config(args)
+        config = ExperimentConfig.from_json(Path(args.config).read_text())
         grid = [float(v) for v in args.eps_grid.split(",")] if args.eps_grid else []
         _emit_report(run_bias_sweep(config, grid, timing=args.timing), args)
         return 0
@@ -215,7 +215,7 @@ def _run(args) -> int:
                                          seed=args.seed, n=args.n, timing=args.timing), args)
         return 0
     if args.command == "sweep-scaling":
-        config = _require_config(args)
+        config = ExperimentConfig.from_json(Path(args.config).read_text())
         grid = [int(v) for v in args.n_grid.split(",")]
         _emit_report(run_scaling(config, grid, timing=args.timing), args)
         return 0

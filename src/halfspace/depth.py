@@ -34,8 +34,8 @@ ORACLE_SUBSET_GUARD = 10 ** 6
 _WITNESS_RETRIES = 60
 _SWEEP_BLOCK = 20_000   # critical angles per planar-sweep block (bounds temporaries)
 _SECTOR_MIN = 1e-13     # narrower planar sectors are rounding artefacts
-_SCORER_BYTES_CAP = 2 ** 30   # resident (c, n) arrays of one BatteryScorer
-_BLOCK_ROWS = 64              # largest block of directions one scoring step takes
+_RESIDENT_BYTES_CAP = 2 ** 30  # resident arrays of one battery scorer or objective
+_BLOCK_ROWS = 64               # largest block of directions one pruned step takes
 _BUILD_PAIRS = 125_000        # atom x direction projections per construction chunk
 _SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
 _LOOP_KEYS = 128              # more keys per row than this: search row by row
@@ -61,21 +61,14 @@ def _closed_mass(offsets: np.ndarray, weights: np.ndarray, v: np.ndarray) -> flo
 
 
 def depth_1d(p: WeightedPointSet, mu) -> DepthResult:
-    """Exact depth on the line: the closed mass of the lighter side.
-
-    As in :func:`depth_oracle`, duplicate atoms are merged first and the
-    sides are compared by their open masses (atoms at ``mu`` count on both),
-    so two sides of equal mass pick the same side, and the same bits, as the
-    oracle."""
+    """Exact depth on the line: the closed mass of the lighter side, as
+    :func:`depth_oracle` computes it (on the merged set, the side with the
+    smaller open mass), so both engines give the same value and witness."""
     mu = as_point(mu)
     if p.dim != 1 or mu.shape[0] != 1:
         raise ValueError("depth_1d needs one-dimensional data")
-    p = p.consolidate()
-    offsets = p.points - mu
-    plus = float(p.weights[offsets[:, 0] > 0.0].sum())
-    minus = float(p.weights[offsets[:, 0] < 0.0].sum())
-    witness = np.array([1.0 if plus <= minus else -1.0])
-    return DepthResult(_closed_mass(offsets, p.weights, witness), witness, "exact1d")
+    res = depth_oracle(p, mu)
+    return DepthResult(res.value, res.witness, "exact1d")
 
 
 def depth_2d_sweep(p: WeightedPointSet, mu) -> DepthResult:
@@ -433,6 +426,29 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     return DepthResult(_closed_mass(offsets, p.weights, best_v), best_v, "sampled")
 
 
+def direction_blocks(c: int):
+    """Slices of ``range(c)`` of sizes 1, 2, 4, ... (at most ``_BLOCK_ROWS``):
+    the block schedule of every bound-pruned evaluation over a battery of c
+    directions. Early blocks are small, so a query that fails at once costs
+    little; later ones are large, so a query evaluated in full takes few
+    steps."""
+    start, size = 0, 1
+    while start < c:
+        yield slice(start, start + size)
+        start += size
+        size = min(2 * size, _BLOCK_ROWS)
+
+
+def guard_resident(structure: str, n: int, c: int, nbytes: int) -> None:
+    """Refuse (``ConfigError``) a ``structure`` over n atoms and c
+    directions whose resident arrays would take more than
+    ``_RESIDENT_BYTES_CAP`` bytes."""
+    if nbytes > _RESIDENT_BYTES_CAP:
+        raise ConfigError(
+            f"{structure} needs {nbytes} bytes for n={n} atoms and c={c} directions, "
+            f"above the {_RESIDENT_BYTES_CAP}-byte cap; use a lower budget")
+
+
 def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """(c, m) projections of ``points`` (m, d) on ``dirs`` (c, d).
 
@@ -533,8 +549,8 @@ class BatteryScorer:
     atom and midpoint of a large sample (and running a local search on top)
     affordable. Retains ``8 * c * (2 * n + 1)`` bytes (about 16·n·c) for n
     atoms and c directions, built in chunks of directions so construction
-    never holds much more, and refuses (``ConfigError``, a ``ValueError``) a
-    battery that would retain more than ``_SCORER_BYTES_CAP``.
+    never holds much more, and refuses (:func:`guard_resident`) a battery
+    that would retain more.
 
     :meth:`bounded_scores` scores in blocks of directions and stops scoring a
     query once it falls below a floor; :meth:`scores` is its floor-free case.
@@ -542,11 +558,7 @@ class BatteryScorer:
 
     def __init__(self, p: WeightedPointSet, dirs: np.ndarray):
         n, c = p.size, len(dirs)
-        resident = 8 * c * (2 * n + 1)
-        if resident > _SCORER_BYTES_CAP:
-            raise ConfigError(
-                f"battery scorer needs {resident} bytes for n={n} atoms and c={c} "
-                f"directions, above the {_SCORER_BYTES_CAP}-byte cap; use a lower budget")
+        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
         self.dirs = dirs
         self._sorted = np.empty((c, n))
         self._suffix = np.empty((c, n + 1))
@@ -558,46 +570,34 @@ class BatteryScorer:
             del ranked                        # before the suffix temporaries
             self._suffix[rows] = suffix_masses(w_sorted)
 
-    def _masses(self, rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """(B, m) closed masses of ``candidates`` (m, d) along the directions
-        ``rows`` (B,). Each entry has the same bits in any batch: projections
-        are summed coordinate by coordinate, and the mass is the suffix sum
-        from the key's rank."""
-        keys = _project_rows(candidates, self.dirs[rows])
-        return self._suffix[rows[:, None], row_searchsorted(self._sorted, keys, rows)]
-
-    def masses(self, point: np.ndarray) -> np.ndarray:
-        """The closed mass at ``point`` along every direction, (c,)."""
-        return self._masses(np.arange(len(self.dirs)), point[None, :])[:, 0]
-
-    def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf,
-                       order: np.ndarray | None = None) -> np.ndarray:
+    def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         """Scores of the rows of ``candidates`` (m, d) that stay at or above
         ``floor``.
 
-        Directions are taken in ``order`` (battery order if None), in blocks
-        of 1, 2, 4, ... (at most ``_BLOCK_ROWS``), and a query is no longer
-        scored once its running minimum drops below ``floor``. A query whose
-        score is at or above ``floor`` gets that exact score; any other gets
-        its running minimum, which lies below ``floor`` and at or above its
-        score. The order changes no bits: a minimum is exact.
+        Directions are taken in battery order, in the blocks of
+        :func:`direction_blocks`, and a query is no longer scored once its
+        running minimum drops below ``floor``. A query whose score is at or
+        above ``floor`` gets that exact score; any other gets its running
+        minimum, which lies below ``floor`` and at or above its score. Each
+        mass has the same bits in any batch: projections are summed
+        coordinate by coordinate, and the mass is the suffix sum from the
+        key's rank.
         """
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        if order is None:
-            order = np.arange(len(self.dirs))
+        battery = np.arange(len(self.dirs))
         best = np.full(candidates.shape[0], math.inf)
         live = np.arange(candidates.shape[0])
-        start, size = 0, 1
-        while start < len(order) and live.size:
-            rows = order[start:start + size]
+        for block in direction_blocks(len(battery)):
+            if not live.size:
+                break
+            rows = battery[block]
             cols = max(1, _SCORE_PAIRS // len(rows))
             for at in range(0, live.size, cols):
                 part = live[at:at + cols]
-                block = self._masses(rows, candidates[part]).min(axis=0)
-                best[part] = np.minimum(best[part], block)
+                keys = _project_rows(candidates[part], self.dirs[rows])
+                masses = self._suffix[rows[:, None], row_searchsorted(self._sorted, keys, rows)]
+                best[part] = np.minimum(best[part], masses.min(axis=0))
             live = live[best[live] >= floor]
-            start += size
-            size = min(2 * size, _BLOCK_ROWS)
         return best
 
     def scores(self, candidates: np.ndarray) -> np.ndarray:

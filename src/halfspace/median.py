@@ -102,29 +102,24 @@ def _floored_neg_depth(scorer: BatteryScorer):
     """A fresh objective ``xs (m, d) -> -scores`` for one pattern search.
 
     Its floor is the largest score it has returned so far. A probe whose
-    running minimum over directions reaches the floor cannot beat it, so
-    scoring stops there and the probe gets that running minimum: at most
-    the floor and at least its score. Any other probe gets its exact score.
-    Directions go in ascending order of the masses of the last probe scored
-    above the floor (the best so far), so most rejected probes stop after a
-    few directions.
+    running minimum over directions (taken in battery order) reaches the
+    floor cannot beat it, so scoring stops there and the probe gets that
+    running minimum: at most the floor and at least its score. Any other
+    probe gets its exact score.
 
     ``pattern_search_min`` accepts a probe only when its value is strictly
     below ``fx``, which is minus this floor, so it accepts the same probes,
     with the same exact values, and returns the same ``(x, fx, evals)`` as
     with exact scores.
     """
-    floor, order = -math.inf, None
+    floor = -math.inf
 
     def objective(xs: np.ndarray) -> np.ndarray:
-        nonlocal floor, order
+        nonlocal floor
         # a running minimum at or below the floor stops: the search needs
         # a strict improvement
-        depths = scorer.bounded_scores(xs, np.nextafter(floor, math.inf), order)
-        best = int(np.argmax(depths))
-        if depths[best] > floor:
-            floor = float(depths[best])
-            order = np.argsort(scorer.masses(xs[best]), kind="stable")
+        depths = scorer.bounded_scores(xs, np.nextafter(floor, math.inf))
+        floor = max(floor, float(np.max(depths)))
         return -depths
 
     return objective
@@ -198,8 +193,9 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
 
     Under the sampled engine the search minimizes
     :func:`_floored_neg_depth`, so a probe that cannot beat the incumbent
-    costs only the directions it takes to prove it; the path, the generator
-    draws, the evaluation count and the result are those of exact scoring.
+    costs only the battery blocks it takes to prove it, the same blocks the
+    pool is scored in; the path, the generator draws, the evaluation count
+    and the result are those of exact scoring.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")

@@ -24,18 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import direction_battery, sort_projections
+from .depth import direction_battery, direction_blocks, guard_resident, sort_projections
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
-from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, ConfigError, NamedDistribution,
+from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
                     WeightedPointSet, as_point)
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
 
 _DOMINATION_GRID = 32
 _DOMINATION_SLACK = 1e-9
-_OBJECTIVE_BYTES_CAP = 2 ** 30   # resident (n, c) arrays of one projection objective
-_BLOCK_ROWS = 64                 # largest block of directions one evaluation step takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +120,12 @@ class _BatteryObjective:
 
     A continuous template (Gaussian, uniform ball) keeps the sorted
     projections, ``emp_cdf`` and ``emp_left`` as contiguous (c, n) rows, one
-    per direction, and evaluates a center in blocks of at most
-    ``_BLOCK_ROWS`` rows, so no per-probe temporary is (n, c). A discrete
-    template keeps its sorted projections and weights as (n, c) columns, the
-    layout ``_discrete_sup``'s einsum sums in. Construction refuses
-    (``ConfigError``) a battery whose resident arrays would exceed
-    ``_OBJECTIVE_BYTES_CAP``.
+    per direction, and evaluates a center in the blocks of
+    :func:`~halfspace.depth.direction_blocks`, so no per-probe temporary is
+    (n, c). A discrete template keeps its sorted projections and weights as
+    (n, c) columns, the layout ``_discrete_sup``'s einsum sums in.
+    Construction refuses (:func:`~halfspace.depth.guard_resident`) a battery
+    whose resident arrays would take too much memory.
 
     Calling the objective gives exact values; ``floored()`` gives the
     objective one pattern search minimizes, which may stop evaluating a
@@ -144,12 +142,7 @@ class _BatteryObjective:
         tmpl = family.template
         discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
-        resident = (2 if discrete else 3) * n * c * 8
-        if resident > _OBJECTIVE_BYTES_CAP:
-            raise ConfigError(
-                f"projection objective needs {resident} bytes for n={n} atoms and "
-                f"c={c} directions, above the {_OBJECTIVE_BYTES_CAP}-byte cap; "
-                "use a lower budget")
+        guard_resident("projection objective", n, c, (2 if discrete else 3) * n * c * 8)
         rows, w_rows = self._sorted_rows(p_hat)
         if discrete:
             # template atoms are offsets about its center
@@ -187,9 +180,10 @@ class _BatteryObjective:
 
     def _sup(self, mu: np.ndarray, floor: float = math.inf,
              order: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Running max of the per-direction sup distances at ``mu``, over
-        blocks of 1, 2, 4, ... (at most ``_BLOCK_ROWS``) directions taken in
-        ``order`` (battery order if None), stopped once it reaches ``floor``.
+        """Running max of the per-direction sup distances at ``mu``, over the
+        blocks of :func:`~halfspace.depth.direction_blocks` of directions
+        taken in ``order`` (battery order if None), stopped once it reaches
+        ``floor``.
 
         Returns ``(value, per_direction)``. A value below ``floor`` is the
         exact objective, with every direction's value filled in; otherwise
@@ -199,11 +193,14 @@ class _BatteryObjective:
         """
         t0 = self.dirs @ mu          # on the full battery: a row subset may round differently
         c = t0.shape[0]
+        if order is None:
+            order = np.arange(c)
         per_direction = np.empty(c)
         value = 0.0
-        start, size = 0, 1
-        while start < c and value < floor:
-            rows = slice(start, start + size) if order is None else order[start:start + size]
+        for span in direction_blocks(c):
+            if value >= floor:
+                break
+            rows = order[span]
             shifted = self.emp_sorted[rows] - t0[rows, None]
             f = self._template_cdf(shifted)
             block = np.max(np.subtract(self.emp_cdf[rows], f, out=shifted), axis=1)
@@ -211,8 +208,6 @@ class _BatteryObjective:
                        out=block)
             per_direction[rows] = block
             value = float(np.maximum(value, block.max()))
-            start += size
-            size = min(2 * size, _BLOCK_ROWS)
         return value, per_direction
 
     def __call__(self, mu: np.ndarray) -> float:

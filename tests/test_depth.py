@@ -436,6 +436,25 @@ class TestRowSearchsorted:
         assert got.tolist() == [[1, 0, 4], [1, 1, 0], [3, 1, 0]]
 
 
+def per_direction_masses(scorer, q):
+    """Reference: the closed mass at ``q`` along each direction of the
+    scorer's battery, one ``np.searchsorted`` per direction."""
+    keys = depth._project_rows(q[None, :], scorer.dirs)[:, 0]
+    return np.array([scorer._suffix[j, np.searchsorted(scorer._sorted[j], key, side="left")]
+                     for j, key in enumerate(keys)])
+
+
+class TestDirectionBlocks:
+    @pytest.mark.parametrize("c", [1, 63, 64, 200])
+    def test_doubling_sizes_cover_each_direction_once(self, c):
+        spans = list(depth.direction_blocks(c))
+        taken = np.concatenate([np.arange(c)[s] for s in spans])
+        assert np.array_equal(taken, np.arange(c))
+        sizes = [len(range(c)[s]) for s in spans]
+        want = [min(2 ** k, depth._BLOCK_ROWS) for k in range(len(sizes))]
+        assert sizes[:-1] == want[:-1] and 1 <= sizes[-1] <= want[-1]
+
+
 class TestBoundedScores:
     @staticmethod
     def setup_case(seed):
@@ -450,43 +469,41 @@ class TestBoundedScores:
     def test_survivors_exact_and_pruned_between_score_and_floor(self, seed):
         scorer, queries = self.setup_case(seed)
         exact = scorer.scores(queries)
-        order = np.random.default_rng(seed).permutation(len(scorer.dirs))
         for floor in np.unique(exact):
-            for o in (None, order):
-                got = scorer.bounded_scores(queries, floor, o)
-                keep = exact >= floor
-                assert got[keep].tobytes() == exact[keep].tobytes()
-                assert np.all(got[~keep] >= exact[~keep]) and np.all(got[~keep] < floor)
+            got = scorer.bounded_scores(queries, floor)
+            keep = exact >= floor
+            assert got[keep].tobytes() == exact[keep].tobytes()
+            assert np.all(got[~keep] >= exact[~keep]) and np.all(got[~keep] < floor)
 
     def test_stops_at_the_first_block_below_the_floor(self, monkeypatch):
-        # blocks of 1, 2, 4, ... directions in the given order: a query whose
+        # blocks of 1, 2, 4, ... directions in battery order: a query whose
         # k-th direction is the first below the floor takes the blocks that
         # reach k, and returns the running minimum over exactly those
         scorer, queries = self.setup_case(3)
         q = queries[25]
-        masses = scorer.masses(q)
-        floor = float(np.median(masses))
-        order = np.argsort(-masses, kind="stable")       # the lowest masses come last
-        first = int(np.argmax(masses[order] < floor))
-        assert masses[order[first]] < floor and first > 8
+        masses = per_direction_masses(scorer, q)
+        floor = float(masses[:16].min())                 # no direction below it before 16
+        first = int(np.argmax(masses < floor))
+        assert masses[first] < floor and first >= 16
         sizes, start = [], 0
         while start <= first:
-            sizes.append(min(2 ** len(sizes), depth._BLOCK_ROWS, len(order) - start))
+            sizes.append(min(2 ** len(sizes), depth._BLOCK_ROWS, len(masses) - start))
             start += sizes[-1]
         seen = []
         real = depth.row_searchsorted
         monkeypatch.setattr(depth, "row_searchsorted",
                             lambda a, keys, rows: (seen.append(len(rows)),
                                                    real(a, keys, rows))[1])
-        got = scorer.bounded_scores(q[None, :], floor, order)[0]
+        got = scorer.bounded_scores(q[None, :], floor)[0]
         assert seen == sizes
-        assert got == masses[order[:start]].min() < floor
+        assert got == masses[:start].min() < floor
 
     def test_scores_is_the_floor_free_case(self):
         scorer, queries = self.setup_case(4)
         assert scorer.scores(queries).tobytes() == \
             scorer.bounded_scores(queries, -np.inf).tobytes()
-        assert all(scorer.masses(q).min() == s for q, s in zip(queries, scorer.scores(queries)))
+        assert all(per_direction_masses(scorer, q).min() == s
+                   for q, s in zip(queries, scorer.scores(queries)))
 
 
 class TestScorerMemoryGuard:
@@ -496,10 +513,10 @@ class TestScorerMemoryGuard:
         dirs = hs.direction_battery(p.points, 32, hs.make_rng(8), anchor="difference")
         c = len(dirs)
         resident = 8 * c * (2 * 300 + 1)
-        monkeypatch.setattr(depth, "_SCORER_BYTES_CAP", resident - 1)
-        with pytest.raises(ConfigError, match=f"{resident} bytes for n=300 atoms and c={c} "
-                                              "directions.*lower budget"):
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
+        with pytest.raises(ConfigError, match=f"battery scorer needs {resident} bytes for "
+                                              f"n=300 atoms and c={c} directions.*lower budget"):
             BatteryScorer(p, dirs)
-        monkeypatch.setattr(depth, "_SCORER_BYTES_CAP", resident)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
         scorer = BatteryScorer(p, dirs)
         assert scorer._sorted.nbytes + scorer._suffix.nbytes == resident

@@ -221,12 +221,44 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_median_above_the_scorer_memory_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(hs.depth, "_SCORER_BYTES_CAP", 0)
+        monkeypatch.setattr(hs.depth, "_RESIDENT_BYTES_CAP", 0)
         path = tmp_path / "g.csv"
         path.write_text(hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 50,
                                   rng=1).to_csv())
         assert main(["median", "--dist", str(path), "--engine", "sampled", "--budget", "8"]) == 2
         assert "lower budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["depth", "--dist", "{sq}", "--point", "0,0,0", "--engine", "oracle"], ["--out", "x"]),
+        (["median", "--dist", "{sq}", "--engine", "oracle"], ["--format", "json"]),
+        (["estimate", "--dist", "{sq}", "--template", "{fam}", "--budget", "16",
+          "--starts", "0", "--steps", "1"], ["--timing"]),
+        (["attack", "--variant", "tetrahedron", "--out", "{tmp}/a.csv"], ["--seed", "5"]),
+        (["bounds", "--model", "tv", "--d", "3", "--eps", "0.1", "--decay", "gaussian:1"],
+         ["--config", "{cfg}"]),
+        (["sweep-bias", "--eps-grid", "0.1", "--config", "{cfg}", "--out", "{tmp}/b.csv"],
+         ["--seed", "5"]),
+        (["sweep-breakdown", "--estimator", "cwise_median", "--construction", "pointmass_1d",
+          "--z-grid", "10", "--n", "50", "--out", "{tmp}/c.csv"], ["--config", "{cfg}"]),
+        (["sweep-scaling", "--n-grid", "50", "--config", "{cfg}", "--out", "{tmp}/d.csv"],
+         ["--seed", "5"]),
+    ])
+    def test_flag_the_subcommand_ignores_exits_2(self, tmp_path, capsys, argv, ignored):
+        # each subcommand registers only the shared flags it reads, so one
+        # it would ignore is refused instead of silently accepted
+        paths = {"sq": tmp_path / "sq.csv", "fam": tmp_path / "fam.json",
+                 "cfg": tmp_path / "cfg.json", "tmp": tmp_path}
+        paths["sq"].write_text(hs.square_distribution().atoms_absolute().to_csv())
+        paths["fam"].write_text(json.dumps(hs.square_template_family().to_json_dict()))
+        paths["cfg"].write_text(json.dumps({
+            "estimator": "cwise_median",
+            "distribution": {"variant": "gaussian_isotropic", "center": [0, 0, 0], "scale": 1.0},
+            "attack": {"variant": "shift_cluster", "epsilon": 0.1, "z": 20.0},
+            "mode": "adaptive_samples", "n": 50, "trials": 1, "seed": 3}))
+        argv = [a.format(**paths) for a in argv]
+        assert main(argv) == 0
+        assert main(argv + [a.format(**paths) for a in ignored]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sweep_bias_end_to_end(self, tmp_path):
         cfg = {"estimator": "cwise_median",

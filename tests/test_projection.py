@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import halfspace as hs
-from halfspace import projection
+from halfspace import depth, projection
 from halfspace.harness import ExperimentConfig, realize_trial
 from halfspace.metrics import DecayProfile, normal_cdf
-from halfspace.model import WeightedPointSet
+from halfspace.model import ConfigError, WeightedPointSet
 from halfspace.projection import _BatteryObjective
 from halfspace.rng import make_rng, spawn_seeds
 
@@ -108,10 +108,11 @@ class TestObjectiveMemoryGuard:
         fam = gaussian_family(d=2)
         c = len(_BatteryObjective(fam, p, 32, hs.make_rng(0)).dirs)
         # three resident (c, n) float64 arrays for a continuous template
-        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 3 * 300 * c * 8 - 1)
-        with pytest.raises(ValueError, match=f"n=300 atoms and c={c} directions"):
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 3 * 300 * c * 8 - 1)
+        with pytest.raises(ConfigError, match=f"projection objective needs {3 * 300 * c * 8} "
+                                              f"bytes for n=300 atoms and c={c} directions"):
             _BatteryObjective(fam, p, 32, hs.make_rng(0))
-        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 3 * 300 * c * 8)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 3 * 300 * c * 8)
         _BatteryObjective(fam, p, 32, hs.make_rng(0))
 
     def test_discrete_template_counts_two_arrays(self, monkeypatch):
@@ -119,9 +120,11 @@ class TestObjectiveMemoryGuard:
         _, tetra = hs.attack_tetrahedron(5.0)
         c = len(_BatteryObjective(fam, tetra, 64, hs.make_rng(0)).dirs)
         n = tetra.consolidate().size
-        monkeypatch.setattr(projection, "_OBJECTIVE_BYTES_CAP", 2 * n * c * 8 - 1)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 2 * n * c * 8 - 1)
         with pytest.raises(ValueError, match="lower budget"):
             _BatteryObjective(fam, tetra, 64, hs.make_rng(0))
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 2 * n * c * 8)
+        _BatteryObjective(fam, tetra, 64, hs.make_rng(0))
 
 
 def ball_family(d: int = 3, radius: float = 1.0, half: float = 4.0) -> hs.TemplateFamily:
