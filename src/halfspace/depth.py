@@ -469,22 +469,25 @@ def sort_projections(proj: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     Ties keep index order, the order of ``np.argsort(proj, axis=1,
     kind="stable")``: suffix sums over tied atoms must add their weights in
     the same order to give the same bits. The default (unstable) sort is
-    several times faster and already gives that order in rows whose values
-    are distinct. In the other rows, each run of equal values is put back in
-    index order by sorting the integer keys ``run * n + index``. NaNs, which
-    sort last, form one run.
+    several times faster and already gives that order outside runs of equal
+    values. The members of each run are put back in index order by sorting
+    the integer keys ``run * n + index``, with runs numbered across the
+    whole array. NaNs, which sort last, form one run.
     """
     n = proj.shape[1]
     order = np.argsort(proj, axis=1)
     ranked = np.take_along_axis(proj, order, axis=1)
     tied = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
-    redo = np.flatnonzero(tied.any(axis=1))
-    if redo.size:
-        run = np.zeros((redo.size, n), dtype=np.int64)
-        np.cumsum(~tied[redo], axis=1, out=run[:, 1:])
-        keys = np.sort(run * n + order[redo], axis=1)
-        order[redo] = keys % n
-        ranked[redo] = np.take_along_axis(proj[redo], order[redo], axis=1)
+    after = np.zeros(ranked.shape, dtype=bool)       # equal to the rank before
+    after[:, 1:] = tied
+    member = after.copy()
+    member[:, :-1] |= tied
+    rows, ranks = np.nonzero(member)
+    run = np.cumsum(~after[rows, ranks])
+    keys = np.sort(run * n + order[rows, ranks])
+    # write only into argsort's own (C-ordered) arrays: proj may be a view
+    order[rows, ranks] = keys % n
+    ranked[rows, ranks] = proj[rows, order[rows, ranks]]
     return ranked, weights[order]
 
 

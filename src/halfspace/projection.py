@@ -11,10 +11,10 @@ metric; the family always contains the clean population, so the objective
 at the returned center never exceeds the objective at the true center.
 
 Each pattern search minimizes its own floored copy of the objective
-(``_BatteryObjective.floored``): a probe that cannot beat the search's
-incumbent costs the directions it takes to prove it, often one, and gets a
-lower bound at or above the incumbent, so the search takes the same path
-and returns the same bits as with exact values.
+(``_BatteryObjective.floored``), whatever the template: a probe that cannot
+beat the search's incumbent costs the directions it takes to prove it,
+often one, and gets a lower bound at or above the incumbent, so the search
+takes the same path and returns the same bits as with exact values.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .rng import RngLike, make_rng
 
 _DOMINATION_GRID = 32
 _DOMINATION_SLACK = 1e-9
+_TEMP_BYTES = 4_000_000      # temporaries of one kernel call or one group of centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +119,19 @@ class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
     distance between the translated template CDF and the empirical CDF.
 
-    A continuous template (Gaussian, uniform ball) keeps the sorted
-    projections, ``emp_cdf`` and ``emp_left`` as contiguous (c, n) rows, one
-    per direction, and evaluates a center in the blocks of
-    :func:`~halfspace.depth.direction_blocks`, so no per-probe temporary is
-    (n, c). A discrete template keeps its sorted projections and weights as
-    (n, c) columns, the layout ``_discrete_sup``'s einsum sums in.
-    Construction refuses (:func:`~halfspace.depth.guard_resident`) a battery
-    whose resident arrays would take too much memory.
+    The sorted projections and ``emp_cdf`` are contiguous (c, n) rows, one
+    per direction, and so is ``emp_left`` for a continuous template
+    (Gaussian, uniform ball); a discrete template keeps its own sorted atom
+    projections and CDF rows beside them. Construction refuses
+    (:func:`~halfspace.depth.guard_resident`) a battery whose resident
+    arrays would take too much memory.
 
-    Calling the objective gives exact values; ``floored()`` gives the
-    objective one pattern search minimizes, which may stop evaluating a
-    center once it cannot beat that search's incumbent.
+    Every evaluation runs through :meth:`_sup`, which takes directions in
+    the blocks of :func:`~halfspace.depth.direction_blocks` and hands each
+    block to the template's kernel, so no temporary is (n, c). Calling the
+    objective, or :meth:`batch`, gives exact values; ``floored()`` gives the
+    objective one pattern search minimizes, which stops evaluating a center
+    once it cannot beat that search's incumbent.
     """
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
@@ -140,17 +142,21 @@ class _BatteryObjective:
         p_hat = p_hat.consolidate()
         self.dirs = direction_battery(p_hat.points, budget, rng, anchor="difference")
         tmpl = family.template
-        discrete = tmpl.variant == DISCRETE_ATOMS
+        self._discrete = discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
         guard_resident("projection objective", n, c, (2 if discrete else 3) * n * c * 8)
-        rows, w_rows = self._sorted_rows(p_hat)
+        self.emp_sorted, w_rows = self._sorted_rows(p_hat)
+        self.emp_cdf = np.cumsum(w_rows, axis=1)
         if discrete:
             # template atoms are offsets about its center
-            self._emp_cols, self._emp_w, self._tpl_cols, self._tpl_w = [
-                np.ascontiguousarray(a.T) for a in (rows, w_rows, *self._sorted_rows(tmpl.atoms))]
+            self._tpl_sorted, tpl_w = self._sorted_rows(tmpl.atoms)
+            self._tpl_cdf = np.cumsum(tpl_w, axis=1)
+            g = n + tmpl.atoms.size
+            # bytes per (center, direction) pair: right- and left-limit
+            # comparisons and grid rows
+            self._pair_bytes = 2 * g * (g + 64)
             return
-        self.emp_sorted = rows
-        self.emp_cdf = np.cumsum(w_rows, axis=1)
+        self._pair_bytes = 8 * n                 # one shifted row
         self.emp_left = self.emp_cdf - w_rows
         if tmpl.variant == UNIFORM_BALL:
             # dense one-off table: the incomplete-beta cap mass is far too
@@ -165,60 +171,107 @@ class _BatteryObjective:
         their weights, as (c, n) rows."""
         return sort_projections((atoms.points @ self.dirs.T).T, atoms.weights)
 
+    def _project(self, mus: np.ndarray) -> np.ndarray:
+        """(m, c) battery projections of the centers ``mus`` (m, d), one
+        matrix-vector product per center: a product over stacked centers
+        may round differently."""
+        t0 = np.empty((len(mus), len(self.dirs)))
+        for i, mu in enumerate(mus):
+            t0[i] = self.dirs @ mu
+        return t0
+
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:
-        """Template CDF at center-relative projection values; scales
-        ``shifted`` in place."""
+        """Continuous template CDF at center-relative projection values;
+        scales ``shifted`` in place."""
         tmpl = self.family.template
         if tmpl.variant == GAUSSIAN:
             shifted /= tmpl.scale
             return normal_cdf(shifted)
-        if tmpl.variant == UNIFORM_BALL:
-            flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf,
-                             left=0.0, right=1.0)
-            return flat.reshape(shifted.shape)
-        raise AssertionError("discrete templates take the step-function path")
+        flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf, left=0.0, right=1.0)
+        return flat.reshape(shifted.shape)
 
-    def _sup(self, mu: np.ndarray, floor: float = math.inf,
-             order: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Running max of the per-direction sup distances at ``mu``, over the
-        blocks of :func:`~halfspace.depth.direction_blocks` of directions
-        taken in ``order`` (battery order if None), stopped once it reaches
-        ``floor``.
+    def _continuous_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(r, b) sup distances on directions ``cols`` (b,) for centers whose
+        projections on them are ``t0`` (r, b): the max of the two one-sided
+        differences between the empirical and template CDFs, through one
+        (r, b, n) temporary."""
+        shifted = self.emp_sorted[cols] - t0[:, :, None]
+        f = self._template_cdf(shifted)
+        block = np.max(np.subtract(self.emp_cdf[cols], f, out=shifted), axis=2)
+        return np.maximum(block, np.max(np.subtract(f, self.emp_left[cols], out=shifted),
+                                        axis=2), out=block)
 
-        Returns ``(value, per_direction)``. A value below ``floor`` is the
-        exact objective, with every direction's value filled in; otherwise
-        it is a lower bound on the objective that is at least ``floor``.
-        The block order changes no bits: each entry is computed elementwise
-        and a max is exact.
+    def _discrete_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(r, b) exact sup distances between two step CDFs on directions
+        ``cols`` (b,) for centers whose projections on them are ``t0``
+        (r, b): both CDFs' right and left limits at the union of their jump
+        points.
+
+        The left limit at x is the right limit at ``nextafter(x, -inf)``,
+        the largest float below x, so one comparison serves both.
         """
-        t0 = self.dirs @ mu          # on the full battery: a row subset may round differently
-        c = t0.shape[0]
+        emp = self.emp_sorted[cols]                                  # (b, n)
+        tpl = self._tpl_sorted[cols] + t0[:, :, None]                # (r, b, k)
+        n = emp.shape[1]
+        jumps = np.empty(tpl.shape[:2] + (n + tpl.shape[2],))       # (r, b, g)
+        jumps[..., :n] = emp
+        jumps[..., n:] = tpl
+        grid = np.stack([jumps, np.nextafter(jumps, -np.inf)])[..., None]
+        diff = (_step_cdf(emp[:, None, :], self.emp_cdf[cols], grid)
+                - _step_cdf(tpl[:, :, None, :], self._tpl_cdf[cols], grid))
+        return np.abs(diff, out=diff).max(axis=(0, 3))
+
+    def _sup(self, t0: np.ndarray, floor: float = math.inf,
+             order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Running max of the per-direction sup distances at the centers whose
+        battery projections are the rows of ``t0`` (m, c), over the blocks of
+        :func:`~halfspace.depth.direction_blocks` of directions taken in
+        ``order`` (battery order if None). A center drops out once its
+        running max reaches ``floor``.
+
+        Returns ``(values, per_direction)``, (m,) and (m, c). A value below
+        ``floor`` is the exact objective, with every direction of its row
+        filled in; otherwise it is a lower bound on the objective that is at
+        least ``floor``. Each block is handed to the template's kernel in
+        parts of at most ``_TEMP_BYTES`` of temporaries. Neither the block
+        order nor the parts change any bits: each entry is computed on its
+        own, and a max is exact.
+        """
+        m, c = t0.shape
         if order is None:
             order = np.arange(c)
-        per_direction = np.empty(c)
-        value = 0.0
+        kernel = self._discrete_block if self._discrete else self._continuous_block
+        pairs = max(1, _TEMP_BYTES // self._pair_bytes)   # (center, direction) pairs per part
+        values = np.zeros(m)
+        per_direction = np.empty((m, c))
+        live = np.arange(m)
         for span in direction_blocks(c):
-            if value >= floor:
+            live = live[values[live] < floor]
+            if not live.size:
                 break
-            rows = order[span]
-            shifted = self.emp_sorted[rows] - t0[rows, None]
-            f = self._template_cdf(shifted)
-            block = np.max(np.subtract(self.emp_cdf[rows], f, out=shifted), axis=1)
-            np.maximum(block, np.max(np.subtract(f, self.emp_left[rows], out=shifted), axis=1),
-                       out=block)
-            per_direction[rows] = block
-            value = float(np.maximum(value, block.max()))
-        return value, per_direction
+            block = order[span]
+            for at in range(0, block.size, pairs):
+                cols = block[at:at + pairs]
+                rows = max(1, pairs // cols.size)
+                for start in range(0, live.size, rows):
+                    part = live[start:start + rows]
+                    got = kernel(t0[part[:, None], cols], cols)
+                    per_direction[part[:, None], cols] = got
+                    values[part] = np.maximum(values[part], got.max(axis=1))
+        return values, per_direction
 
     def __call__(self, mu: np.ndarray) -> float:
-        if self.family.template.variant == DISCRETE_ATOMS:
-            return self._discrete_sup(self.dirs @ mu)
-        return self._sup(mu)[0]
+        return float(self.batch(mu[None, :])[0])
 
     def batch(self, mus: np.ndarray) -> np.ndarray:
-        """Exact objective at each row of ``mus`` (m, d), one center at a
-        time, so no per-probe temporary is ever stacked m deep."""
-        return np.array([self(mu) for mu in mus])
+        """Exact objective at each row of ``mus`` (m, d): the floor-free
+        case of :meth:`_sup`, over groups of centers whose (group, c)
+        arrays stay within ``_TEMP_BYTES``."""
+        group = max(1, _TEMP_BYTES // (8 * len(self.dirs)))
+        out = np.empty(len(mus))
+        for start in range(0, len(mus), group):
+            out[start:start + group] = self._sup(self._project(mus[start:start + group]))[0]
+        return out
 
     def floored(self):
         """A fresh batched objective for one pattern search.
@@ -228,51 +281,51 @@ class _BatteryObjective:
         so evaluation stops there and the center gets that running max: a
         lower bound on its value that is at least the floor. Any other
         center gets its exact value. Directions go in descending order of
-        the per-direction values of the last center evaluated exactly (the
-        best so far), so most rejected probes stop after one direction.
+        the per-direction values of the center that set the floor (the best
+        so far), so most rejected probes stop after one direction.
+
+        A continuous template evaluates one probe at a time, so a probe
+        that sets a new floor cuts the probes after it in the same call. A
+        discrete template's probes are cheap, so each call goes through
+        :meth:`_sup` at once, against the floor at the start of the call;
+        the least exact value below it then becomes the floor.
 
         ``pattern_search_min`` accepts a probe only when it is strictly below
         ``fx``, which is this floor, so it accepts the same probes, with the
         same exact values, and returns the same ``(x, fx, evals)`` as with
-        the exact objective. A discrete template always gets exact values.
+        the exact objective.
         """
-        if self.family.template.variant == DISCRETE_ATOMS:
-            return self.batch
         floor, order = math.inf, None
 
         def objective(mus: np.ndarray) -> np.ndarray:
             nonlocal floor, order
+            t0 = self._project(mus)
+            group = len(mus) if self._discrete else 1
             out = np.empty(len(mus))
-            for i, mu in enumerate(mus):
-                out[i], per_direction = self._sup(mu, floor, order)
-                if out[i] < floor:
-                    floor = out[i]
-                    order = np.argsort(-per_direction, kind="stable")
+            for start in range(0, len(mus), group):
+                values, per_direction = self._sup(t0[start:start + group], floor, order)
+                out[start:start + group] = values
+                best = int(np.argmin(values))
+                if values[best] < floor:
+                    floor = float(values[best])
+                    order = np.argsort(-per_direction[best], kind="stable")
             return out
 
         return objective
 
-    def _discrete_sup(self, t0: np.ndarray) -> float:
-        # Exact sup between two step CDFs: evaluate right limits and left
-        # limits of both at the union of their jump points. Inputs are
-        # consolidated, so atomic populations keep these columns short; the
-        # comparison broadcasts over (grid, jumps, directions) in chunks.
-        t_shift = self._tpl_cols + t0[None, :]                 # (k, c)
-        n, c = self._emp_cols.shape
-        k = t_shift.shape[0]
-        best = 0.0
-        cols = max(1, 4_000_000 // max(1, (n + k) * (n + k)))
-        for s in range(0, c, cols):
-            emp = self._emp_cols[:, s:s + cols]                # (n, cc)
-            tpl = t_shift[:, s:s + cols]                       # (k, cc)
-            grid = np.vstack([emp, tpl])                       # (g, cc)
-            f_right = np.einsum("gnc,nc->gc", emp[None] <= grid[:, None], self._emp_w[:, s:s + cols])
-            f_left = np.einsum("gnc,nc->gc", emp[None] < grid[:, None], self._emp_w[:, s:s + cols])
-            q_right = np.einsum("gkc,kc->gc", tpl[None] <= grid[:, None], self._tpl_w[:, s:s + cols])
-            q_left = np.einsum("gkc,kc->gc", tpl[None] < grid[:, None], self._tpl_w[:, s:s + cols])
-            best = max(best, float(np.max(np.abs(f_right - q_right))),
-                       float(np.max(np.abs(f_left - q_left))))
-        return best
+
+def _step_cdf(atoms: np.ndarray, cum: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Weight of the atoms at or below each point of ``grid`` (..., b, g, 1),
+    for atoms (..., b, 1, a) sorted along their last axis with cumulative
+    weights ``cum`` (b, a). The count of atoms at or below a point is looked
+    up in ``cum``, so the weight adds the same terms in the same rank order
+    as a sequential sum over the atoms."""
+    b, a = cum.shape
+    table = np.zeros((b, a + 1))
+    table[:, 1:] = cum
+    count = np.sum(atoms <= grid, axis=-1)
+    count += np.arange(0, b * (a + 1), a + 1)[:, None]
+    return table.take(count)
 
 
 def family_distance(mu, family: TemplateFamily, p_hat: WeightedPointSet,

@@ -155,21 +155,49 @@ def counted_estimate(monkeypatch, floored, p, family, **kw):
     return res, sum(elements)
 
 
+def step_sup_reference(objective, p_hat, mu):
+    """Per-direction sup distances between the square template at ``mu``
+    and ``p_hat`` by the einsum formula the objective used before it took
+    directions in blocks: both step CDFs' right and left limits at the
+    union of their jump points, each CDF a sum over atoms in rank order."""
+    tmpl = objective.family.template.atoms
+
+    def cols(atoms):
+        # (n, c) columns in C order: einsum's summation order follows the
+        # memory layout
+        return [np.ascontiguousarray(a.T) for a in depth.sort_projections(
+            (atoms.points @ objective.dirs.T).T, atoms.weights)]
+
+    emp, emp_w = cols(p_hat.consolidate())
+    tpl, tpl_w = cols(tmpl)
+    tpl = tpl + (objective.dirs @ mu)[None, :]
+    grid = np.vstack([emp, tpl])
+    f_right = np.einsum("gnc,nc->gc", emp[None] <= grid[:, None], emp_w)
+    f_left = np.einsum("gnc,nc->gc", emp[None] < grid[:, None], emp_w)
+    q_right = np.einsum("gkc,kc->gc", tpl[None] <= grid[:, None], tpl_w)
+    q_left = np.einsum("gkc,kc->gc", tpl[None] < grid[:, None], tpl_w)
+    return np.maximum(np.abs(f_right - q_right).max(axis=0), np.abs(f_left - q_left).max(axis=0))
+
+
 class TestFlooredSearch:
     """Each pattern search gets an objective that stops evaluating a probe
     once it cannot beat that search's incumbent; the searches still take the
     same path as with exact values."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("template", ["gaussian", "ball"])
+    @pytest.mark.parametrize("template", ["gaussian", "ball", "square_tetra", "square_apex"])
     def test_same_result_as_exact_searches(self, monkeypatch, template, seed):
         if template == "gaussian":
             family = gaussian_family(d=3, half=4.0)
-            dist = hs.NamedDistribution.gaussian(np.zeros(3), 1.0)
-        else:
+            p = cluster_sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 1000, 40 + 2 * seed)
+        elif template == "ball":
             family = ball_family()
-            dist = hs.NamedDistribution.ball(np.zeros(3), 1.0)
-        p = cluster_sample(dist, 1000, 40 + 2 * seed)
+            p = cluster_sample(hs.NamedDistribution.ball(np.zeros(3), 1.0), 1000, 40 + 2 * seed)
+        else:
+            family = hs.square_template_family()
+            square = hs.square_distribution().atoms_absolute()
+            p = (hs.attack_tetrahedron(5.0 + 20.0 * seed)[1] if template == "square_tetra"
+                 else hs.apex_move(square, 0.1 + 0.15 * seed, 50.0))
         kw = dict(starts=2, budget=48, steps=8, rng=60 + seed, tukey_start=seed == 0)
         got, _ = counted_estimate(monkeypatch, True, p, family, **kw)
         want, _ = counted_estimate(monkeypatch, False, p, family, **kw)
@@ -204,6 +232,76 @@ class TestFlooredSearch:
             value = f(probe[None])[0]
         assert sum(elements) == taken * n < c * n
         assert value == running[taken - 1]
+
+    def test_rejected_discrete_probes_stop_at_the_first_block_reaching_the_floor(
+            self, monkeypatch):
+        # a discrete template scores a whole call at once: each probe stops
+        # at its own first block whose running max reaches the call's floor
+        p = hs.apex_move(hs.square_distribution().atoms_absolute(), 0.3, 50.0)
+        objective = _BatteryObjective(hs.square_template_family(), p, 64, hs.make_rng(3))
+        c = len(objective.dirs)
+        incumbent = np.array([0.5, 0.0, 0.0])
+        probes = np.array([[-0.1, -0.46, -0.03], [-0.05, -0.07, -0.12], [0.6, -0.3, 0.2]])
+        floor = step_sup_reference(objective, p, incumbent).max()
+        order = np.argsort(-step_sup_reference(objective, p, incumbent), kind="stable")
+        taken, want = [], []
+        for probe in probes:
+            running = np.maximum.accumulate(step_sup_reference(objective, p, probe)[order])
+            assert running[-1] >= floor
+            needed = int(np.argmax(running >= floor)) + 1
+            # blocks of 1, 2, 4, ... directions, most promising first
+            taken.append(next(2 ** k - 1 for k in range(1, 64) if 2 ** k - 1 >= needed))
+            want.append(running[taken[-1] - 1])
+        assert max(taken) > 1
+        f = objective.floored()
+        assert f(incumbent[None])[0] == floor
+        pairs = []
+        kernel = objective._discrete_block
+        monkeypatch.setattr(objective, "_discrete_block",
+                            lambda t0, cols: pairs.append(t0.size) or kernel(t0, cols))
+        values = f(probes)
+        assert sum(pairs) == sum(taken) < len(probes) * c
+        assert values.tolist() == want
+
+    @pytest.mark.parametrize("case", ["tetra", "apex", "random_weights"])
+    def test_discrete_kernel_matches_the_einsum_formula(self, case):
+        # at alignment centers template atoms land exactly on data atoms,
+        # so the right and left limits differ at shared jump points
+        if case == "tetra":
+            p = hs.attack_tetrahedron(5.0)[1]
+        elif case == "apex":
+            p = hs.apex_move(hs.square_distribution().atoms_absolute(), 0.3, 50.0)
+        else:
+            rng = np.random.default_rng(4)
+            w = rng.random(30)
+            p = WeightedPointSet(rng.integers(-3, 4, size=(30, 3)) * 0.5, w / w.sum())
+        family = hs.square_template_family()
+        objective = _BatteryObjective(family, p, 64, hs.make_rng(2))
+        merged = p.consolidate()
+        align = (merged.points[:, None, :] - family.template.atoms.points[None]).reshape(-1, 3)
+        centers = np.vstack([align, np.random.default_rng(1).uniform(-2.0, 2.0, (8, 3))])
+        values, per_direction = objective._sup(objective._project(centers))
+        want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
+        assert per_direction.tobytes() == want.tobytes()
+        assert values.tobytes() == np.maximum(want.max(axis=1), 0.0).tobytes()
+        assert [objective(mu) for mu in centers] == values.tolist()
+
+    def test_alignment_batch_memory_is_bounded(self):
+        p = hs.attack_tetrahedron(5.0)[1]
+        objective = _BatteryObjective(hs.square_template_family(), p, 512, hs.make_rng(0))
+        centers = np.random.default_rng(3).uniform(-4.0, 4.0, (4096, 3))
+        c = len(objective.dirs)
+        tracemalloc.start()
+        try:
+            values = objective.batch(centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # centers go in groups whose (group, c) arrays take at most
+        # _TEMP_BYTES each, not one (4096, c) array
+        assert 4096 * c * 8 > 4 * projection._TEMP_BYTES
+        assert peak < 4 * projection._TEMP_BYTES
+        assert values[::97].tolist() == [objective(mu) for mu in centers[::97]]
 
     def test_criterion_5_trial_takes_a_quarter_of_the_cdf_work(self, monkeypatch):
         dist = hs.NamedDistribution.gaussian(np.zeros(3), 1.0)
