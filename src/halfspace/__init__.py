@@ -6,7 +6,7 @@ from .corruption import (AttackSpec, Mixture, adaptive_corrupt_samples, additive
                          constant_cluster, mixture_corrupt, oblivious_pipeline,
                          sample_population, shift_cluster, square_distribution, tv_corrupt)
 from .depth import (DepthResult, compute_depth, depth_1d, depth_2d_sweep, depth_2d_sweep_many,
-                    depth_oracle, depth_sampled, direction_battery)
+                    depth_oracle, depth_sampled, direction_battery, resolve_engine)
 from .harness import (ConfigError, ExperimentConfig, ExperimentReport, ReportRow,
                       median_errors_by_n, run_bias_sweep, run_breakdown_sweep, run_scaling)
 from .median import (MedianResult, coordinatewise_median, median_1d, median_candidates,

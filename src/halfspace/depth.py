@@ -30,7 +30,10 @@ import numpy as np
 from .model import ConfigError, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
+ENGINES = ("auto", "exact1d", "sweep2d", "oracle", "sampled")
 ORACLE_SUBSET_GUARD = 10 ** 6
+_SWEEP_ATOM_QUERIES = 2_000_000   # auto: planar sweep while queries * n stays within
+_ORACLE_SUBSET_QUERIES = 20_000   # auto: oracle while C(n, d - 1) * queries stays within
 _WITNESS_RETRIES = 60
 _SWEEP_BLOCK = 20_000   # critical angles per planar-sweep block (bounds temporaries)
 _SECTOR_MIN = 1e-13     # narrower planar sectors are rounding artefacts
@@ -176,13 +179,9 @@ def _orth_basis(v: np.ndarray) -> np.ndarray:
     return vh[1:].T
 
 
-def _candidate_normals(off: np.ndarray, d: int, guard: int) -> list[np.ndarray]:
+def _candidate_normals(off: np.ndarray, d: int) -> list[np.ndarray]:
     n = off.shape[0]
     subset_size = min(d - 1, n)
-    if math.comb(n, subset_size) > guard:
-        raise ValueError(
-            f"combinatorial enumeration needs C({n}, {subset_size}) <= {guard}; "
-            "use the sampled engine instead")
     seen: set[tuple] = set()
     out: list[np.ndarray] = []
 
@@ -216,8 +215,7 @@ def _candidate_normals(off: np.ndarray, d: int, guard: int) -> list[np.ndarray]:
     return out
 
 
-def _min_closed_mass(offsets: np.ndarray, weights: np.ndarray,
-                     guard: int = ORACLE_SUBSET_GUARD) -> tuple[float, np.ndarray, bool]:
+def _min_closed_mass(offsets: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Infimum over nonzero directions u of ``sum(w_i for u.o_i >= 0)``.
 
     Returns ``(value, witness, decisive)``. A decisive witness has every
@@ -249,14 +247,14 @@ def _min_closed_mass(offsets: np.ndarray, weights: np.ndarray,
     best_value = math.inf
     best_witness = np.eye(d)[0]
     best_decisive = False
-    for v in _candidate_normals(off, d, guard):
+    for v in _candidate_normals(off, d):
         dots = off @ v
         boundary = np.abs(dots) <= btol
         pos = float(w[dots > btol].sum())
         neg = float(w[dots < -btol].sum())
         if boundary.any():
             basis = _orth_basis(v)
-            sub_val, sub_wit, sub_dec = _min_closed_mass(off[boundary] @ basis, w[boundary], guard)
+            sub_val, sub_wit, sub_dec = _min_closed_mass(off[boundary] @ basis, w[boundary])
             u = basis @ sub_wit
         else:
             sub_val, u, sub_dec = 0.0, None, True
@@ -305,24 +303,29 @@ def _compose_witness(v: np.ndarray, u: np.ndarray, off: np.ndarray, w: np.ndarra
     return v, False
 
 
-def depth_oracle(p: WeightedPointSet, mu, guard: int = ORACLE_SUBSET_GUARD) -> DepthResult:
+def depth_oracle(p: WeightedPointSet, mu) -> DepthResult:
     """Exact depth for atomic distributions by combinatorial enumeration.
 
     Candidate normals are orthogonal to the span of each (d-1)-subset of
     atom offsets (canonical axes serve as fallback for degenerate spans);
     boundary atoms are re-scored recursively, which realizes every mass
     pattern reachable by infinitesimal rotations of the hyperplane.
+
+    Raises ``ValueError`` above ``ORACLE_SUBSET_GUARD`` subsets for any
+    level: recursion keeps at most the n atoms off ``mu`` in fewer
+    dimensions, so C(n, min(d - 1, n // 2)) bounds every level's count.
     """
     mu = as_point(mu)
     if mu.shape[0] != p.dim:
         raise ValueError("query point dimension mismatch")
     merged = p.consolidate()
     n = int(np.sum(np.linalg.norm(merged.points - mu, axis=1) > 0))
-    if math.comb(n, min(p.dim - 1, n)) > guard:
-        raise ValueError(
-            f"oracle guard exceeded: C({n}, {p.dim - 1}) > {guard}; use depth_sampled")
+    k = min(p.dim - 1, n // 2)
+    if math.comb(n, k) > ORACLE_SUBSET_GUARD:
+        raise ValueError(f"oracle guard exceeded: C({n}, {k}) > {ORACLE_SUBSET_GUARD}; "
+                         "use depth_sampled")
     offsets = merged.points - mu
-    value, witness, decisive = _min_closed_mass(offsets, merged.weights, guard)
+    value, witness, decisive = _min_closed_mass(offsets, merged.weights)
     if decisive:
         value = _closed_mass(offsets, merged.weights, witness)
     return DepthResult(value, witness, "oracle")
@@ -417,7 +420,7 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     dirs = direction_battery(p.points, budget, gen, anchor="offset", mu=mu)
     best_value = math.inf
     best_v = dirs[0]
-    for chunk in np.array_split(dirs, max(1, len(dirs) * p.size // 2_000_000 + 1)):
+    for chunk in np.array_split(dirs, min(len(dirs), len(dirs) * p.size // 2_000_000 + 1)):
         masses = (offsets @ chunk.T >= 0.0).T @ p.weights
         i = int(np.argmin(masses))
         if masses[i] < best_value:
@@ -611,24 +614,40 @@ class BatteryScorer:
         return float(self.scores(point[None, :])[0])
 
 
+def resolve_engine(p: WeightedPointSet, queries: int, engine: str = "auto",
+                   budget: int = 2048) -> str:
+    """The one engine policy: check ``engine`` for ``p`` and resolve
+    ``"auto"`` for ``queries`` depth queries. ``auto`` takes ``exact1d`` at
+    d = 1, ``sweep2d`` at d = 2 while ``queries * n <= _SWEEP_ATOM_QUERIES``,
+    ``oracle`` while ``C(n, d - 1) * queries <= _ORACLE_SUBSET_QUERIES`` (it
+    enumerates the (d - 1)-subsets per query), and ``sampled`` otherwise.
+    An unknown name, ``exact1d``/``sweep2d`` on data of another dimension
+    and ``budget < 1`` raise ``ConfigError``."""
+    if engine not in ENGINES:
+        raise ConfigError(f"unknown depth engine {engine!r} (choose from {', '.join(ENGINES)})")
+    need = {"exact1d": 1, "sweep2d": 2}.get(engine)
+    if need is not None and p.dim != need:
+        raise ConfigError(f"--engine {engine} needs {need}-dimensional data, "
+                          f"got {p.dim}-dimensional")
+    if budget < 1:
+        raise ConfigError(f"--budget must be at least 1, got {budget}")
+    if engine != "auto":
+        return engine
+    if p.dim == 1:
+        return "exact1d"
+    if p.dim == 2 and queries * p.size <= _SWEEP_ATOM_QUERIES:
+        return "sweep2d"
+    if math.comb(p.size, p.dim - 1) * queries <= _ORACLE_SUBSET_QUERIES:
+        return "oracle"
+    return "sampled"
+
+
 def compute_depth(p: WeightedPointSet, mu, engine: str = "auto", budget: int = 2048,
                   rng: RngLike = 0) -> DepthResult:
-    """Engine dispatcher: exact engines where affordable, sampled otherwise."""
-    if engine == "auto":
-        if p.dim == 1:
-            engine = "exact1d"
-        elif p.dim == 2:
-            engine = "sweep2d"
-        elif math.comb(p.size, p.dim - 1) <= 2_000:
-            engine = "oracle"
-        else:
-            engine = "sampled"
-    if engine == "exact1d":
-        return depth_1d(p, mu)
-    if engine == "sweep2d":
-        return depth_2d_sweep(p, mu)
-    if engine == "oracle":
-        return depth_oracle(p, mu)
+    """Depth of ``mu`` under ``engine``, resolved by :func:`resolve_engine`
+    for one query: exact where affordable, the sampled upper bound
+    otherwise."""
+    engine = resolve_engine(p, 1, engine, budget)
     if engine == "sampled":
         return depth_sampled(p, mu, budget=budget, rng=rng)
-    raise ValueError(f"unknown depth engine {engine!r}")
+    return {"exact1d": depth_1d, "sweep2d": depth_2d_sweep, "oracle": depth_oracle}[engine](p, mu)

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import (BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery,
-                    sort_projections, suffix_masses)
+                    resolve_engine, sort_projections, suffix_masses)
 from .model import WeightedPointSet, as_point
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
 
 MIDPOINT_CAP = 100_000
+_LEVELS = 8  # step-size levels of the refine's pattern search
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,18 +126,6 @@ def _floored_neg_depth(scorer: BatteryScorer):
     return objective
 
 
-def _resolve_engine(p: WeightedPointSet, pool_size: int, engine: str) -> str:
-    if engine != "auto":
-        return engine
-    if p.dim == 1:
-        return "exact1d"
-    if p.dim == 2 and pool_size * p.size <= 2_000_000:
-        return "sweep2d"
-    if math.comb(p.size, p.dim - 1) * pool_size <= 20_000:
-        return "oracle"
-    return "sampled"
-
-
 def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
                       midpoint_cap: int = MIDPOINT_CAP, budget: int = 2048,
                       rng: RngLike = 0) -> MedianResult:
@@ -147,7 +136,9 @@ def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
     selection deterministic and translation-equivariant. The achieved depth
     is a lower bound on the true maximum depth under exact engines; under
     the sampled engine every candidate is scored against one shared seeded
-    direction battery.
+    direction battery. :func:`resolve_engine` checks ``engine`` and
+    ``budget`` and resolves ``"auto"`` for the pool size, before any scorer
+    is built.
 
     Under the sampled engine the coordinate-wise median (always in the
     pool) is scored first, in full; a lone query scores as its pool row
@@ -163,7 +154,7 @@ def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
     merged = p.consolidate()
     seed = coordinatewise_median(merged)
     pool = _candidate_pool(merged, seed, extra, midpoint_cap, gen)
-    eng = _resolve_engine(merged, len(pool), engine)
+    eng = resolve_engine(merged, len(pool), engine, budget)
     if eng == "sampled":
         scorer = _battery_scorer(merged, budget, gen)
         low = scorer.scores(seed[None, :])[0]
@@ -189,7 +180,10 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     shrinking step size (initial step: a quarter of the bounding-box
     diagonal); a move is accepted only when the depth strictly increases,
     so the returned depth never falls below the start's. Deterministic
-    given the seed.
+    given the seed. :func:`resolve_engine` checks ``engine`` and ``budget``
+    and resolves ``"auto"`` for the most points the search can probe,
+    1 + 4d(steps + 8): the start, then 4d probes per iteration, where at
+    most ``steps`` iterations move and one per step level fails.
 
     Under the sampled engine the search minimizes
     :func:`_floored_neg_depth`, so a probe that cannot beat the incumbent
@@ -202,8 +196,8 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     gen = make_rng(rng)
     start = as_point(start)
     merged = p.consolidate()
-    probe_evals = 96 + 12 * steps  # pattern-search budget drives the engine choice
-    eng = _resolve_engine(merged, probe_evals, engine)
+    probe_evals = 1 + 4 * merged.dim * (steps + _LEVELS)
+    eng = resolve_engine(merged, probe_evals, engine, budget)
     if eng == "sampled":
         scorer = _battery_scorer(merged, budget, gen)
         depths, objective = scorer.scores, _floored_neg_depth(scorer)
@@ -214,5 +208,5 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     if steps == 0:
         return MedianResult(start, float(depths(start[None, :])[0]), 1, "refined")
     point, neg_depth, evals = pattern_search_min(
-        objective, start, initial_step=diameter / 4.0, rng=gen, levels=8, max_moves=steps)
+        objective, start, initial_step=diameter / 4.0, rng=gen, levels=_LEVELS, max_moves=steps)
     return MedianResult(point, -neg_depth, evals, "refined")

@@ -175,6 +175,18 @@ class TestDepthOracle:
         with pytest.raises(ValueError, match="sampled"):
             hs.depth_oracle(p, np.zeros(5))
 
+    def test_guard_bounds_every_recursion_level(self, monkeypatch):
+        # 8 atoms on a plane through the query in R^7: C(8, 6) = 28 subsets
+        # at the top, but the boundary recursion one dimension down needs
+        # C(8, 5) = 56 and the next C(8, 4) = 70, so the guard must refuse
+        # before enumerating anything
+        monkeypatch.setattr(depth, "ORACLE_SUBSET_GUARD", 30)
+        monkeypatch.setattr(depth, "_min_closed_mass", lambda *a: pytest.fail("enumerated"))
+        rng = hs.make_rng(0)
+        p = uniform(rng.standard_normal((8, 2)) @ rng.standard_normal((2, 7)))
+        with pytest.raises(ValueError, match=r"C\(8, 4\) > 30; use depth_sampled"):
+            hs.depth_oracle(p, np.zeros(7))
+
     def test_atom_at_query_always_counts(self):
         p = uniform([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
         assert hs.depth_oracle(p, np.zeros(3)).value == pytest.approx(1 / 3)
@@ -215,6 +227,11 @@ class TestDepthSampled:
         with pytest.raises(ValueError):
             hs.depth_sampled(SQUARE_2D, [0.0, 0.0], budget=0)
 
+    def test_more_atoms_than_one_chunk_per_direction(self):
+        # above 2e6 atoms each direction is its own chunk; none is empty
+        p = uniform(np.arange(2_000_001, dtype=float)[:, None])
+        assert hs.depth_sampled(p, [1.0], budget=1).value == pytest.approx(2 / 2_000_001)
+
 
 class TestEngineAgreement:
     def test_sweep_equals_oracle_uniform_weights(self):
@@ -252,6 +269,54 @@ class TestEngineAgreement:
             mu = rng.standard_normal(d)
             s = hs.depth_sampled(p, mu, budget=64, rng=rng).value
             assert s >= hs.depth_oracle(p, mu).value - 1e-12
+
+
+class TestEnginePolicy:
+    """``resolve_engine`` is the one rule behind ``compute_depth`` and the
+    median searches."""
+
+    @pytest.mark.parametrize("n, d, queries, expected", [
+        (7, 1, 10 ** 9, "exact1d"),
+        (1000, 2, 2000, "sweep2d"),            # queries * n = 2e6
+        (3, 2, 666_667, "sampled"),            # queries * n = 2e6 + 1
+        (1, 2, 2_000_000, "sweep2d"),
+        (1, 2, 2_000_001, "sampled"),
+        (5, 3, 2000, "oracle"),                # C(5, 2) * queries = 2e4
+        (3, 3, 6667, "sampled"),               # C(3, 2) * queries = 2e4 + 1
+        (200, 3, 1, "oracle"),                 # C(200, 2) = 19900
+        (201, 3, 1, "sampled"),                # C(201, 2) = 20100
+        (3, 4, 20_000, "oracle"),              # C(3, 3) * queries = 2e4
+        (3, 4, 20_001, "sampled"),
+    ])
+    def test_auto_on_each_side_of_each_boundary(self, n, d, queries, expected):
+        p = uniform(hs.make_rng(n).standard_normal((n, d)))
+        assert depth.resolve_engine(p, queries) == expected
+        assert depth.resolve_engine(p, queries, expected) == expected
+
+    @pytest.mark.parametrize("d, engine, budget, message", [
+        (3, "bogus", 2048, "unknown depth engine 'bogus'"),
+        (3, "sweep2d", 2048, "--engine sweep2d needs 2-dimensional data, got 3-dimensional"),
+        (2, "exact1d", 2048, "--engine exact1d needs 1-dimensional data, got 2-dimensional"),
+        (1, "sweep2d", 2048, "--engine sweep2d needs 2-dimensional data"),
+        (3, "auto", 0, "--budget must be at least 1, got 0"),
+        (2, "sweep2d", 0, "--budget must be at least 1, got 0"),
+    ])
+    def test_config_errors(self, d, engine, budget, message):
+        p = uniform(hs.make_rng(0).standard_normal((6, d)))
+        with pytest.raises(ConfigError, match=message):
+            depth.resolve_engine(p, 1, engine, budget)
+        with pytest.raises(ConfigError, match=message):
+            hs.compute_depth(p, np.zeros(d), engine=engine, budget=budget)
+
+    def test_lone_query_follows_the_median_rule(self):
+        # C(65, 2) = 2080 subsets: the oracle, as a median search of one
+        # query would pick, not the sampled upper bound (0.4)
+        rng = np.random.default_rng(3)
+        p = uniform(rng.standard_normal((65, 3)))
+        mu = 0.1 * rng.standard_normal(3)
+        res = hs.compute_depth(p, mu)
+        assert res.engine == "oracle"
+        assert res.value == hs.depth_oracle(p, mu).value == 0.36923076923076925
 
 
 class TestDepthProperties:

@@ -4,7 +4,7 @@ import pytest
 import halfspace as hs
 from halfspace import depth
 from halfspace.depth import BatteryScorer, _project_rows
-from halfspace.model import WeightedPointSet
+from halfspace.model import ConfigError, WeightedPointSet
 
 
 def uniform(points) -> WeightedPointSet:
@@ -134,6 +134,35 @@ class TestMedianRefine:
         p = hs.square_distribution().atoms_absolute()
         r = hs.median_refine(p, np.array([0.1, 0.2, 0.0]), engine="oracle", steps=0, rng=0)
         assert np.array_equal(r.point, [0.1, 0.2, 0.0])
+
+
+class TestEngineRequests:
+    """Both searches check the engine request through ``resolve_engine``
+    before they build any scorer."""
+
+    @pytest.fixture(autouse=True)
+    def no_scoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scorer was built")
+        for name in ("BatteryScorer", "direction_battery", "compute_depth",
+                     "depth_2d_sweep_many"):
+            monkeypatch.setattr(hs.median, name, refuse)
+
+    @pytest.mark.parametrize("engine, budget", [("bogus", 2048), ("sweep2d", 2048),
+                                                ("exact1d", 2048), ("auto", 0),
+                                                ("oracle", 0)])
+    def test_candidates(self, engine, budget):
+        p = hs.square_distribution().atoms_absolute()
+        with pytest.raises(ConfigError):
+            hs.median_candidates(p, engine=engine, budget=budget)
+
+    @pytest.mark.parametrize("engine, budget", [("bogus", 2048), ("sweep2d", 2048),
+                                                ("exact1d", 2048), ("auto", 0),
+                                                ("sampled", 0)])
+    def test_refine(self, engine, budget):
+        p = hs.square_distribution().atoms_absolute()
+        with pytest.raises(ConfigError):
+            hs.median_refine(p, np.zeros(3), engine=engine, budget=budget, steps=4)
 
 
 class TestSweep2dWiring:
