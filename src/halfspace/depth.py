@@ -42,6 +42,8 @@ _BLOCK_ROWS = 64               # largest block of directions one pruned step tak
 _BUILD_PAIRS = 125_000        # atom x direction projections per construction chunk
 _SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
 _LOOP_KEYS = 128              # more keys per row than this: search row by row
+_MASS_UNIT = 2.0 ** -60       # fixed-point unit of the battery scorer's masses
+_SORT_QUERIES = 8             # a block that this many live queries reach is sorted
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,19 +546,44 @@ def row_searchsorted(a: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> np.nd
     return q - base
 
 
+def _compare_units(proj: np.ndarray, units: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(b, m) integer closed masses without a sort: entry (j, i) is the sum
+    of the ``units`` (n,) of the atoms whose projection in row j of ``proj``
+    (b, n) is at least ``keys[j, i]``. Rows go in parts whose boolean
+    masks stay within the bytes of one construction chunk."""
+    b, n = proj.shape
+    step = max(1, 8 * _BUILD_PAIRS // (keys.shape[1] * n))
+    out = np.empty(keys.shape, dtype=np.int64)
+    for at in range(0, b, step):
+        mask = proj[at:at + step, None, :] >= keys[at:at + step, :, None]
+        out[at:at + step] = np.einsum("jin,n->ji", mask, units)
+    return out
+
+
 class BatteryScorer:
     """Depth upper bounds for many query points under one shared direction
     battery: the minimum over directions of the closed mass at each query.
 
-    Atom projections are sorted once per direction at construction and kept
-    in one contiguous (c, n) array, one row per direction, beside one
-    (c, n + 1) array of the suffix masses of the sorted weights; a query then
-    costs one binary search per direction. This is what makes scoring every
-    atom and midpoint of a large sample (and running a local search on top)
-    affordable. Retains ``8 * c * (2 * n + 1)`` bytes (about 16·n·c) for n
-    atoms and c directions, built in chunks of directions so construction
-    never holds much more, and refuses (:func:`guard_resident`) a battery
-    that would retain more.
+    Masses are fixed point. The weights are rounded once, at construction,
+    to int64 multiples of ``_MASS_UNIT`` = 2**-60 (each within 2**-61 of
+    its weight, so the total stays near 2**60, far inside int64), a closed
+    mass is an exact integer sum of those units, and it is converted to
+    float once. A mass is therefore within about n·2**-61 (plus one
+    rounding) of the float mass, and its bits do not depend on the order of
+    the sum: the same query and direction give the same bits whichever path
+    computed them and whatever else was in the batch.
+
+    The atoms are projected once, coordinate by coordinate, into one (c, n)
+    array, one row per direction, in chunks of directions. A row is sorted
+    in place, with an int64 array of the suffix masses of its sorted units,
+    only when a block of :func:`direction_blocks` that holds it is reached
+    by at least ``_SORT_QUERIES`` live queries; a key on a sorted row then
+    costs one binary search. Below that, a key's mass is a masked sum over
+    the unsorted row, in O(n) comparisons and no sort. Since pruning stops
+    most queries within the first blocks, most rows are never sorted.
+    Retains at most ``8 * c * (2 * n + 1)`` bytes (about 16·n·c, once every
+    row is sorted) for n atoms and c directions, and refuses
+    (:func:`guard_resident`) a battery that would retain more.
 
     :meth:`bounded_scores` scores in blocks of directions and stops scoring a
     query once it falls below a floor; :meth:`scores` is its floor-free case.
@@ -566,15 +593,28 @@ class BatteryScorer:
         n, c = p.size, len(dirs)
         guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
         self.dirs = dirs
-        self._sorted = np.empty((c, n))
-        self._suffix = np.empty((c, n + 1))
-        chunk_size = max(1, _BUILD_PAIRS // max(1, n))
-        for start in range(0, c, chunk_size):
-            rows = slice(start, start + chunk_size)
-            ranked, w_sorted = sort_projections(_project_rows(p.points, dirs[rows]), p.weights)
-            self._sorted[rows] = ranked
-            del ranked                        # before the suffix temporaries
-            self._suffix[rows] = suffix_masses(w_sorted)
+        self._units = np.rint(p.weights / _MASS_UNIT).astype(np.int64)
+        self._proj = np.empty((c, n))
+        # rows fill in only as they are sorted
+        self._suffix = np.empty((c, n + 1), dtype=np.int64)
+        self._ranked = np.zeros(c, dtype=bool)
+        self._chunk = max(1, _BUILD_PAIRS // max(1, n))
+        for start in range(0, c, self._chunk):
+            rows = slice(start, start + self._chunk)
+            self._proj[rows] = _project_rows(p.points, dirs[rows])
+
+    def _rank(self, block: slice) -> None:
+        """Sort the rows of ``block`` in place, once, with their suffix
+        masses; the blocks are fixed, so a block's rows are sorted together."""
+        if self._ranked[block.start]:
+            return
+        for start in range(block.start, block.stop, self._chunk):
+            rows = slice(start, min(start + self._chunk, block.stop))
+            order = np.argsort(self._proj[rows], axis=1)
+            self._proj[rows] = np.take_along_axis(self._proj[rows], order, axis=1)
+            self._suffix[rows, :-1] = np.cumsum(self._units[order][:, ::-1], axis=1)[:, ::-1]
+            self._suffix[rows, -1] = 0
+        self._ranked[block] = True
 
     def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         """Scores of the rows of ``candidates`` (m, d) that stay at or above
@@ -585,9 +625,9 @@ class BatteryScorer:
         running minimum drops below ``floor``. A query whose score is at or
         above ``floor`` gets that exact score; any other gets its running
         minimum, which lies below ``floor`` and at or above its score. Each
-        mass has the same bits in any batch: projections are summed
-        coordinate by coordinate, and the mass is the suffix sum from the
-        key's rank.
+        mass has the same bits in any batch and on a sorted or unsorted
+        row: projections are summed coordinate by coordinate, and the mass
+        is an exact integer sum, converted to float once.
         """
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         battery = np.arange(len(self.dirs))
@@ -596,13 +636,18 @@ class BatteryScorer:
         for block in direction_blocks(len(battery)):
             if not live.size:
                 break
+            if live.size >= _SORT_QUERIES:
+                self._rank(block)
             rows = battery[block]
             cols = max(1, _SCORE_PAIRS // len(rows))
             for at in range(0, live.size, cols):
                 part = live[at:at + cols]
                 keys = _project_rows(candidates[part], self.dirs[rows])
-                masses = self._suffix[rows[:, None], row_searchsorted(self._sorted, keys, rows)]
-                best[part] = np.minimum(best[part], masses.min(axis=0))
+                if self._ranked[block.start]:
+                    units = self._suffix[rows[:, None], row_searchsorted(self._proj, keys, rows)]
+                else:
+                    units = _compare_units(self._proj[block], self._units, keys)
+                best[part] = np.minimum(best[part], units.min(axis=0) * _MASS_UNIT)
             live = live[best[live] >= floor]
         return best
 

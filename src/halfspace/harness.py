@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown corruption mode {self.mode!r}")
         if self.trials < 1 or self.n < 1:
             raise ConfigError("need trials >= 1 and n >= 1")
+        if self.budget < 1:
+            raise ConfigError(f"config field budget must be at least 1, got {self.budget}")
         if self.estimator == "projection" and self.template is None:
             raise ConfigError("projection estimator needs a template family")
         if self.mode in ("additive_population", "tv_population") \

@@ -221,15 +221,16 @@ class _BatteryObjective:
                 - _step_cdf(tpl[:, :, None, :], self._tpl_cdf[cols], grid))
         return np.abs(diff, out=diff).max(axis=(0, 3))
 
-    def _sup(self, t0: np.ndarray, floor: float = math.inf,
-             order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def _sup(self, t0: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
+             per_direction: np.ndarray | None = None) -> np.ndarray:
         """Running max of the per-direction sup distances at the centers whose
         battery projections are the rows of ``t0`` (m, c), over the blocks of
         :func:`~halfspace.depth.direction_blocks` of directions taken in
         ``order`` (battery order if None). A center drops out once its
         running max reaches ``floor``.
 
-        Returns ``(values, per_direction)``, (m,) and (m, c). A value below
+        Returns the (m,) values, and fills the per-direction sups into
+        ``per_direction`` (m, c) when the caller passes one. A value below
         ``floor`` is the exact objective, with every direction of its row
         filled in; otherwise it is a lower bound on the objective that is at
         least ``floor``. Each block is handed to the template's kernel in
@@ -243,7 +244,6 @@ class _BatteryObjective:
         kernel = self._discrete_block if self._discrete else self._continuous_block
         pairs = max(1, _TEMP_BYTES // self._pair_bytes)   # (center, direction) pairs per part
         values = np.zeros(m)
-        per_direction = np.empty((m, c))
         live = np.arange(m)
         for span in direction_blocks(c):
             live = live[values[live] < floor]
@@ -256,9 +256,10 @@ class _BatteryObjective:
                 for start in range(0, live.size, rows):
                     part = live[start:start + rows]
                     got = kernel(t0[part[:, None], cols], cols)
-                    per_direction[part[:, None], cols] = got
+                    if per_direction is not None:
+                        per_direction[part[:, None], cols] = got
                     values[part] = np.maximum(values[part], got.max(axis=1))
-        return values, per_direction
+        return values
 
     def __call__(self, mu: np.ndarray) -> float:
         return float(self.batch(mu[None, :])[0])
@@ -270,7 +271,7 @@ class _BatteryObjective:
         group = max(1, _TEMP_BYTES // (8 * len(self.dirs)))
         out = np.empty(len(mus))
         for start in range(0, len(mus), group):
-            out[start:start + group] = self._sup(self._project(mus[start:start + group]))[0]
+            out[start:start + group] = self._sup(self._project(mus[start:start + group]))
         return out
 
     def floored(self):
@@ -303,7 +304,9 @@ class _BatteryObjective:
             group = len(mus) if self._discrete else 1
             out = np.empty(len(mus))
             for start in range(0, len(mus), group):
-                values, per_direction = self._sup(t0[start:start + group], floor, order)
+                part = t0[start:start + group]
+                per_direction = np.empty(part.shape)
+                values = self._sup(part, floor, order, per_direction)
                 out[start:start + group] = values
                 best = int(np.argmin(values))
                 if values[best] < floor:

@@ -386,19 +386,9 @@ class TestBatteryScorer:
 
     @staticmethod
     def column_layout_scores(p, dirs, candidates):
-        """Reference: projections in (n, c) columns, a stable column
-        argsort, and one unsorted-key binary search per direction."""
-        proj = p.points @ dirs.T
-        order = np.argsort(proj, axis=0, kind="stable")
-        sorted_proj = np.take_along_axis(proj, order, axis=0)
-        suffix = np.zeros((p.size + 1, len(dirs)))
-        suffix[:-1] = np.cumsum(p.weights[order][::-1], axis=0)[::-1]
-        cand_proj = candidates @ dirs.T
-        best = np.full(len(candidates), np.inf)
-        for j in range(len(dirs)):
-            pos = np.searchsorted(sorted_proj[:, j], cand_proj[:, j], side="left")
-            np.minimum(best, suffix[pos, j], out=best)
-        return best
+        """Reference: the least fixed-point closed mass of each candidate
+        over the whole battery, by brute force."""
+        return per_direction_masses(p, dirs, candidates).min(axis=1)
 
     def test_matches_brute_force_with_ties(self):
         # Integer atoms, integer directions and dyadic weights keep every
@@ -507,12 +497,62 @@ class TestRowSearchsorted:
         assert got.tolist() == [[1, 0, 4], [1, 1, 0], [3, 1, 0]]
 
 
-def per_direction_masses(scorer, q):
-    """Reference: the closed mass at ``q`` along each direction of the
-    scorer's battery, one ``np.searchsorted`` per direction."""
-    keys = depth._project_rows(q[None, :], scorer.dirs)[:, 0]
-    return np.array([scorer._suffix[j, np.searchsorted(scorer._sorted[j], key, side="left")]
-                     for j, key in enumerate(keys)])
+def per_direction_masses(p, dirs, queries):
+    """Reference: the (m, c) closed masses of ``p`` at each of the
+    ``queries`` (m, d) along each direction of ``dirs``, by brute force in
+    fixed point: the weights rounded to int64 units of 2**-60, summed
+    exactly over the atoms whose projection is at least the query's, and
+    converted to float once."""
+    units = np.rint(p.weights * 2.0 ** 60).astype(np.int64)
+    atoms = depth._project_rows(p.points, dirs)
+    keys = depth._project_rows(np.atleast_2d(queries), dirs)
+    return np.array([np.where(atoms >= key[:, None], units, 0).sum(axis=1)
+                     for key in keys.T]) * 2.0 ** -60
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """Integer-grid atom sets of :func:`grid_cases` in R^3 with repeated
+    atoms, some made coplanar and some shifted by 1e7, a seeded difference
+    battery, and queries on atoms, at midpoints of atom pairs and off the
+    grid."""
+    p, queries = draw(grid_cases(d=3))
+    pts, w = p.points.copy(), p.weights
+    repeat = draw(st.lists(st.integers(0, p.size - 1), max_size=4))
+    pts, w = np.vstack([pts, pts[repeat]]), np.concatenate([w, w[repeat]])
+    if draw(st.booleans()):
+        pts[:, 2] = 0.0
+        queries = queries.copy()
+        queries[:, 2] = 0.0
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                    st.integers(0, len(pts) - 1)), max_size=8))
+    queries = np.vstack([queries, pts] + [0.5 * (pts[[i]] + pts[[j]]) for i, j in pairs])
+    shift = draw(st.sampled_from([0.0, 1e7]))
+    pts, queries = pts + shift, queries + shift
+    dirs = hs.direction_battery(pts, draw(st.integers(1, 48)),
+                                hs.make_rng(draw(st.integers(0, 3))), anchor="difference")
+    return WeightedPointSet(pts, w / w.sum()), dirs, queries
+
+
+class TestFixedPointMasses:
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_point_cases())
+    def test_bits_do_not_depend_on_path_or_batch(self, case):
+        # each query alone (rows compared unless sorted before), then in one
+        # batch (rows sorted once enough queries reach them), then alone
+        # again, with rows always sorted, sorted as shipped, and never sorted
+        p, dirs, queries = case
+        want = per_direction_masses(p, dirs, queries).min(axis=1)
+        for threshold, ranked in ((1, True), (depth._SORT_QUERIES, None), (10 ** 9, False)):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(depth, "_SORT_QUERIES", threshold)
+                scorer = BatteryScorer(p, dirs)
+                runs = [np.array([scorer.score(q) for q in queries]), scorer.scores(queries),
+                        np.array([scorer.score(q) for q in queries])]
+            for got in runs:
+                assert got.tobytes() == want.tobytes()
+            if ranked is not None:
+                assert scorer._ranked.all() == ranked and scorer._ranked.any() == ranked
 
 
 class TestDirectionBlocks:
@@ -534,11 +574,11 @@ class TestBoundedScores:
         dirs = hs.direction_battery(p.consolidate().points, 48, hs.make_rng(seed + 1),
                                     anchor="difference")
         queries = np.vstack([p.points[:20], 0.25 * rng.standard_normal((40, 3))])
-        return BatteryScorer(p, dirs), queries
+        return p, BatteryScorer(p, dirs), queries
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_survivors_exact_and_pruned_between_score_and_floor(self, seed):
-        scorer, queries = self.setup_case(seed)
+        _, scorer, queries = self.setup_case(seed)
         exact = scorer.scores(queries)
         for floor in np.unique(exact):
             got = scorer.bounded_scores(queries, floor)
@@ -550,9 +590,9 @@ class TestBoundedScores:
         # blocks of 1, 2, 4, ... directions in battery order: a query whose
         # k-th direction is the first below the floor takes the blocks that
         # reach k, and returns the running minimum over exactly those
-        scorer, queries = self.setup_case(3)
+        p, scorer, queries = self.setup_case(3)
         q = queries[25]
-        masses = per_direction_masses(scorer, q)
+        masses = per_direction_masses(p, scorer.dirs, q)[0]
         floor = float(masses[:16].min())                 # no direction below it before 16
         first = int(np.argmax(masses < floor))
         assert masses[first] < floor and first >= 16
@@ -560,21 +600,23 @@ class TestBoundedScores:
         while start <= first:
             sizes.append(min(2 ** len(sizes), depth._BLOCK_ROWS, len(masses) - start))
             start += sizes[-1]
+        # a lone query takes the comparison path; the third argument of
+        # either path has one entry per direction of the block
         seen = []
-        real = depth.row_searchsorted
-        monkeypatch.setattr(depth, "row_searchsorted",
-                            lambda a, keys, rows: (seen.append(len(rows)),
-                                                   real(a, keys, rows))[1])
+        for name in ("row_searchsorted", "_compare_units"):
+            real = getattr(depth, name)
+            monkeypatch.setattr(depth, name, lambda *args, real=real:
+                                (seen.append(len(args[2])), real(*args))[1])
         got = scorer.bounded_scores(q[None, :], floor)[0]
         assert seen == sizes
         assert got == masses[:start].min() < floor
 
     def test_scores_is_the_floor_free_case(self):
-        scorer, queries = self.setup_case(4)
+        p, scorer, queries = self.setup_case(4)
         assert scorer.scores(queries).tobytes() == \
             scorer.bounded_scores(queries, -np.inf).tobytes()
-        assert all(per_direction_masses(scorer, q).min() == s
-                   for q, s in zip(queries, scorer.scores(queries)))
+        assert per_direction_masses(p, scorer.dirs, queries).min(axis=1).tolist() == \
+            scorer.scores(queries).tolist()
 
 
 class TestScorerMemoryGuard:
@@ -590,4 +632,4 @@ class TestScorerMemoryGuard:
             BatteryScorer(p, dirs)
         monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
         scorer = BatteryScorer(p, dirs)
-        assert scorer._sorted.nbytes + scorer._suffix.nbytes == resident
+        assert scorer._proj.nbytes + scorer._suffix.nbytes == resident

@@ -11,6 +11,8 @@ from halfspace.harness import (ConfigError, ExperimentConfig, ExperimentReport,
                                ReportRow, run_bias_sweep, run_breakdown_sweep,
                                run_scaling)
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def gaussian_config(**overrides) -> ExperimentConfig:
     base = dict(estimator="tukey",
@@ -40,6 +42,16 @@ class TestConfig:
             "attack": {"variant": "shift_cluster", "epsilon": 0.05, "z": 10.0},
             "mode": "adaptive_samples", "n": 50, "trials": 1, "seed": 1}))
         assert cfg.estimator == "cwise_median" and cfg.n == 50
+
+    def test_budget_below_one_is_refused_at_load(self, tmp_path, capsys):
+        obj = json.loads((CONFIGS / "gaussian_adaptive.json").read_text())
+        obj["budget"] = 0
+        with pytest.raises(ConfigError, match="field budget must be at least 1, got 0"):
+            ExperimentConfig.from_json(obj)
+        path = tmp_path / "zero_budget.json"
+        path.write_text(json.dumps(obj))
+        assert main(["sweep-bias", "--config", str(path), "--eps-grid", "0.1"]) == 2
+        assert "field budget" in capsys.readouterr().err
 
     def test_bad_json_raises_config_error(self):
         with pytest.raises(ConfigError):

@@ -204,14 +204,25 @@ class TestSweep2dWiring:
 
 def full_scores(self, candidates, floor=-np.inf):
     """Reference for ``BatteryScorer.bounded_scores``: every candidate
-    scored exactly on every direction, one ``np.searchsorted`` per row."""
+    scored on every direction by brute force in fixed point, over the atoms
+    ``recording_init`` kept: the weights rounded to int64 units of 2**-60,
+    each closed mass summed exactly and converted to float once."""
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    units = np.rint(self.atoms.weights * 2.0 ** 60).astype(np.int64)
+    atoms = _project_rows(self.atoms.points, self.dirs)
     keys = _project_rows(candidates, self.dirs)
-    best = np.full(len(candidates), np.inf)
-    for j, row in enumerate(keys):
-        pos = np.searchsorted(self._sorted[j], row, side="left")
-        np.minimum(best, self._suffix[j, pos], out=best)
-    return best
+    return np.array([np.where(atoms >= key[:, None], units, 0).sum(axis=1).min()
+                     for key in keys.T]) * 2.0 ** -60
+
+
+_real_init = BatteryScorer.__init__
+
+
+def recording_init(self, p, dirs):
+    """``BatteryScorer.__init__`` that also keeps the atoms for
+    :func:`full_scores`."""
+    _real_init(self, p, dirs)
+    self.atoms = p
 
 
 def corrupted_gaussian(n, seed, shift=0.0):
@@ -249,6 +260,7 @@ class TestBoundedScoring:
         for exact in (False, True):
             with monkeypatch.context() as m:
                 if exact:
+                    m.setattr(BatteryScorer, "__init__", recording_init)
                     m.setattr(BatteryScorer, "bounded_scores", full_scores)
                 gen = np.random.default_rng(seed)
                 cand = hs.median_candidates(p, engine="sampled", budget=64,
@@ -301,20 +313,27 @@ class TestBoundedScoring:
         assert calls[2] == np.nextafter(exact[best], np.inf)
 
     def test_pool_scoring_skips_most_pairs(self, monkeypatch):
-        # the benchmark config as shipped: n = 2000, budget 256, midpoint cap 2000
+        # the benchmark config as shipped: n = 2000, budget 256, midpoint cap 2000;
+        # pairs are counted on both paths, searched and compared
         p = corrupted_gaussian(2000, 0)
         pairs, sizes = [], []
-        real_search, real_init = depth.row_searchsorted, BatteryScorer.__init__
+        real_search, real_compare = depth.row_searchsorted, depth._compare_units
+        real_init = BatteryScorer.__init__
 
         def counting_search(a, keys, rows):
             pairs.append(keys.size)
             return real_search(a, keys, rows)
+
+        def counting_compare(proj, units, keys):
+            pairs.append(keys.size)
+            return real_compare(proj, units, keys)
 
         def sized_init(self, q, dirs):
             sizes.append(len(dirs))
             real_init(self, q, dirs)
 
         monkeypatch.setattr(depth, "row_searchsorted", counting_search)
+        monkeypatch.setattr(depth, "_compare_units", counting_compare)
         monkeypatch.setattr(BatteryScorer, "__init__", sized_init)
         res = hs.median_candidates(p, engine="sampled", budget=256, midpoint_cap=2000, rng=0)
         assert sum(pairs) <= 0.15 * res.candidate_count * sizes[0]

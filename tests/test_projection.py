@@ -280,7 +280,9 @@ class TestFlooredSearch:
         merged = p.consolidate()
         align = (merged.points[:, None, :] - family.template.atoms.points[None]).reshape(-1, 3)
         centers = np.vstack([align, np.random.default_rng(1).uniform(-2.0, 2.0, (8, 3))])
-        values, per_direction = objective._sup(objective._project(centers))
+        t0 = objective._project(centers)
+        per_direction = np.empty(t0.shape)
+        values = objective._sup(t0, per_direction=per_direction)
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
         assert per_direction.tobytes() == want.tobytes()
         assert values.tobytes() == np.maximum(want.max(axis=1), 0.0).tobytes()
