@@ -42,7 +42,7 @@ _BLOCK_ROWS = 64               # largest block of directions one pruned step tak
 _BUILD_PAIRS = 125_000        # atom x direction projections per construction chunk
 _SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
 _LOOP_KEYS = 128              # more keys per row than this: search row by row
-_MASS_UNIT = 2.0 ** -60       # fixed-point unit of the battery scorer's masses
+_MASS_UNIT = 2.0 ** -60       # fixed-point unit of every sorted-projection mass
 _SORT_QUERIES = 8             # a block that this many live queries reach is sorted
 
 
@@ -467,42 +467,31 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sort_projections(proj: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``proj`` (c, n) sorted ascending, and ``weights`` (n,)
-    carried into each row's order: two (c, n) arrays.
+def mass_units(weights: np.ndarray) -> np.ndarray:
+    """``weights`` rounded once to int64 multiples of ``_MASS_UNIT`` = 2**-60,
+    each within 2**-61 of its weight, so a total near 1 stays near 2**60,
+    far inside int64."""
+    return np.rint(weights / _MASS_UNIT).astype(np.int64)
 
-    Ties keep index order, the order of ``np.argsort(proj, axis=1,
-    kind="stable")``: suffix sums over tied atoms must add their weights in
-    the same order to give the same bits. The default (unstable) sort is
-    several times faster and already gives that order outside runs of equal
-    values. The members of each run are put back in index order by sorting
-    the integer keys ``run * n + index``, with runs numbered across the
-    whole array. NaNs, which sort last, form one run.
+
+def sorted_suffix(proj: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``proj`` (c, n) sorted ascending by a plain argsort, and
+    the (c, n + 1) int64 tail masses of ``units`` (n,) in each row's order:
+    column i holds the units from rank i on, and the last column is 0.
+
+    This is the one cumulative sum of weights over sorted projections. An
+    integer sum is exact, so its bits do not depend on the order of its
+    terms: tied values may sort in any order and still give the same masses
+    at the edges of their run, which is all a search or a count reads. A
+    mass is converted to float once, ``suffix * _MASS_UNIT``, and lies
+    within about n·2**-61 (plus one rounding) of the float sum. ``proj`` may
+    be any view; it is not written to.
     """
-    n = proj.shape[1]
     order = np.argsort(proj, axis=1)
-    ranked = np.take_along_axis(proj, order, axis=1)
-    tied = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
-    after = np.zeros(ranked.shape, dtype=bool)       # equal to the rank before
-    after[:, 1:] = tied
-    member = after.copy()
-    member[:, :-1] |= tied
-    rows, ranks = np.nonzero(member)
-    run = np.cumsum(~after[rows, ranks])
-    keys = np.sort(run * n + order[rows, ranks])
-    # write only into argsort's own (C-ordered) arrays: proj may be a view
-    order[rows, ranks] = keys % n
-    ranked[rows, ranks] = proj[rows, order[rows, ranks]]
-    return ranked, weights[order]
-
-
-def suffix_masses(sorted_weights: np.ndarray) -> np.ndarray:
-    """(c, n + 1) tail masses of the rows of ``sorted_weights`` (c, n):
-    column i holds the weight from rank i on, summed from the last rank
-    down, and the last column is 0."""
-    out = np.zeros((sorted_weights.shape[0], sorted_weights.shape[1] + 1))
-    out[:, :-1] = np.cumsum(sorted_weights[:, ::-1], axis=1)[:, ::-1]
-    return out
+    suffix = np.zeros((proj.shape[0], proj.shape[1] + 1), dtype=np.int64)
+    np.cumsum(units[order], axis=1, out=suffix[:, 1:])
+    np.subtract(units.sum(), suffix, out=suffix)      # total less the units below rank i
+    return np.take_along_axis(proj, order, axis=1), suffix
 
 
 def row_searchsorted(a: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -564,26 +553,23 @@ class BatteryScorer:
     """Depth upper bounds for many query points under one shared direction
     battery: the minimum over directions of the closed mass at each query.
 
-    Masses are fixed point. The weights are rounded once, at construction,
-    to int64 multiples of ``_MASS_UNIT`` = 2**-60 (each within 2**-61 of
-    its weight, so the total stays near 2**60, far inside int64), a closed
-    mass is an exact integer sum of those units, and it is converted to
-    float once. A mass is therefore within about n·2**-61 (plus one
-    rounding) of the float mass, and its bits do not depend on the order of
-    the sum: the same query and direction give the same bits whichever path
-    computed them and whatever else was in the batch.
+    Masses are fixed point: the weights are rounded once, at construction,
+    by :func:`mass_units`, a closed mass is an exact integer sum of those
+    units, and it is converted to float once, so the same query and
+    direction give the same bits whichever path computed them and whatever
+    else was in the batch.
 
     The atoms are projected once, coordinate by coordinate, into one (c, n)
     array, one row per direction, in chunks of directions. A row is sorted
-    in place, with an int64 array of the suffix masses of its sorted units,
-    only when a block of :func:`direction_blocks` that holds it is reached
-    by at least ``_SORT_QUERIES`` live queries; a key on a sorted row then
-    costs one binary search. Below that, a key's mass is a masked sum over
-    the unsorted row, in O(n) comparisons and no sort. Since pruning stops
-    most queries within the first blocks, most rows are never sorted.
-    Retains at most ``8 * c * (2 * n + 1)`` bytes (about 16·n·c, once every
-    row is sorted) for n atoms and c directions, and refuses
-    (:func:`guard_resident`) a battery that would retain more.
+    in place, with its :func:`sorted_suffix` masses, only when a block of
+    :func:`direction_blocks` that holds it is reached by at least
+    ``_SORT_QUERIES`` live queries; a key on a sorted row then costs one
+    binary search. Below that, a key's mass is a masked sum over the
+    unsorted row, in O(n) comparisons and no sort. Since pruning stops most
+    queries within the first blocks, most rows are never sorted. Retains at
+    most ``8 * c * (2 * n + 1)`` bytes (once every row is sorted) for n
+    atoms and c directions, and refuses (:func:`guard_resident`) a battery
+    that would retain more.
 
     :meth:`bounded_scores` scores in blocks of directions and stops scoring a
     query once it falls below a floor; :meth:`scores` is its floor-free case.
@@ -593,7 +579,7 @@ class BatteryScorer:
         n, c = p.size, len(dirs)
         guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
         self.dirs = dirs
-        self._units = np.rint(p.weights / _MASS_UNIT).astype(np.int64)
+        self._units = mass_units(p.weights)
         self._proj = np.empty((c, n))
         # rows fill in only as they are sorted
         self._suffix = np.empty((c, n + 1), dtype=np.int64)
@@ -610,10 +596,7 @@ class BatteryScorer:
             return
         for start in range(block.start, block.stop, self._chunk):
             rows = slice(start, min(start + self._chunk, block.stop))
-            order = np.argsort(self._proj[rows], axis=1)
-            self._proj[rows] = np.take_along_axis(self._proj[rows], order, axis=1)
-            self._suffix[rows, :-1] = np.cumsum(self._units[order][:, ::-1], axis=1)[:, ::-1]
-            self._suffix[rows, -1] = 0
+            self._proj[rows], self._suffix[rows] = sorted_suffix(self._proj[rows], self._units)
         self._ranked[block] = True
 
     def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf) -> np.ndarray:

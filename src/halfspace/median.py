@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery,
-                    resolve_engine, sort_projections, suffix_masses)
+from .depth import (_MASS_UNIT, BatteryScorer, compute_depth, depth_2d_sweep_many,
+                    direction_battery, mass_units, resolve_engine, sorted_suffix)
 from .model import WeightedPointSet, as_point
 from .optimize import pattern_search_min
 from .rng import RngLike, make_rng
@@ -39,12 +39,12 @@ class MedianResult:
 def weighted_median_interval(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Endpoints of the weighted median set: points whose closed one-sided
     masses are both >= 1/2."""
-    (v,), w = sort_projections(values[None, :], weights)
-    # lower masses are the suffix masses of the reversed row, read backwards
-    cum = suffix_masses(w[:, ::-1])[0, -2::-1]
-    suffix = suffix_masses(w)[0, :-1]
-    lo = float(v[int(np.argmax(cum >= 0.5 - 1e-12))])
-    hi = float(v[len(v) - 1 - int(np.argmax((suffix >= 0.5 - 1e-12)[::-1]))])
+    (v,), (suffix,) = sorted_suffix(values[None, :], mass_units(weights))
+    # the mass at or below rank i is the total less the mass from rank i + 1
+    lower = (suffix[0] - suffix[1:]) * _MASS_UNIT
+    upper = suffix[:-1] * _MASS_UNIT
+    lo = float(v[int(np.argmax(lower >= 0.5 - 1e-12))])
+    hi = float(v[len(v) - 1 - int(np.argmax((upper >= 0.5 - 1e-12)[::-1]))])
     return lo, hi
 
 

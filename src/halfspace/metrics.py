@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
-from .depth import direction_battery, sort_projections, suffix_masses
+from .depth import _MASS_UNIT, direction_battery, guard_resident, mass_units, sorted_suffix
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
@@ -121,9 +121,11 @@ class DecayProfile:
             raw = gen.standard_normal((budget, d))
             raw = raw[np.linalg.norm(raw, axis=1) > 0]
             dirs.append(raw / np.linalg.norm(raw, axis=1)[:, None])
-        proj = offsets @ np.vstack(dirs).T           # (n, c)
-        rows, w_sorted = sort_projections(proj.T, atoms.weights)
-        suffix = suffix_masses(w_sorted)
+        dirs = np.vstack(dirs)
+        n, c = atoms.size, len(dirs)
+        guard_resident("decay profile", n, c, 8 * c * (2 * n + 1))
+        rows, units = sorted_suffix((offsets @ dirs.T).T, mass_units(atoms.weights))
+        suffix = units * _MASS_UNIT
         rows.setflags(write=False)
         suffix.setflags(write=False)
         return cls("empirical", dim=d, _emp_sorted=rows, _emp_suffix=suffix)
@@ -230,10 +232,10 @@ def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
 
 def _suffix_masses(values: np.ndarray, weights: np.ndarray, grid: np.ndarray):
     """Closed and open tail masses P(value >= s), P(value > s) on ``grid``."""
-    sv, w_sorted = sort_projections(values[None, :], weights)
-    suffix = suffix_masses(w_sorted)[0]
-    ge = suffix[np.searchsorted(sv[0], grid, side="left")]
-    gt = suffix[np.searchsorted(sv[0], grid, side="right")]
+    (sv,), (units,) = sorted_suffix(values[None, :], mass_units(weights))
+    suffix = units * _MASS_UNIT
+    ge = suffix[np.searchsorted(sv, grid, side="left")]
+    gt = suffix[np.searchsorted(sv, grid, side="right")]
     return ge, gt
 
 

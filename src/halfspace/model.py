@@ -111,12 +111,14 @@ class WeightedPointSet:
     def consolidate(self) -> "WeightedPointSet":
         """Merge atoms with exactly equal coordinates (weights added).
 
-        Output atoms are in lexicographic coordinate order, so the result is
-        deterministic regardless of input order.
+        Output atoms are in lexicographic coordinate order, and the weights
+        of a merged atom are added in ascending order, so the result does not
+        depend on the input order.
         """
         uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
         w = np.zeros(uniq.shape[0])
-        np.add.at(w, inverse.ravel(), self.weights)
+        ascending = np.argsort(self.weights)
+        np.add.at(w, inverse.ravel()[ascending], self.weights[ascending])
         return WeightedPointSet(uniq, w)
 
     # -- serialization: CSV with header w,x1,...,xd and a JSON mirror --

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import direction_battery, direction_blocks, guard_resident, sort_projections
+from .depth import (_MASS_UNIT, direction_battery, direction_blocks, guard_resident, mass_units,
+                    sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
 from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
@@ -119,10 +120,10 @@ class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
     distance between the translated template CDF and the empirical CDF.
 
-    The sorted projections and ``emp_cdf`` are contiguous (c, n) rows, one
-    per direction, and so is ``emp_left`` for a continuous template
-    (Gaussian, uniform ball); a discrete template keeps its own sorted atom
-    projections and CDF rows beside them. Construction refuses
+    The sorted projections are contiguous (c, n) rows, one per direction,
+    beside one (c, n + 1) fixed-point table of the mass below each rank;
+    ``emp_cdf`` and ``emp_left`` are views of it. A discrete template keeps
+    its own sorted atom projections and table beside them. Construction refuses
     (:func:`~halfspace.depth.guard_resident`) a battery whose resident
     arrays would take too much memory.
 
@@ -144,20 +145,18 @@ class _BatteryObjective:
         tmpl = family.template
         self._discrete = discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
-        guard_resident("projection objective", n, c, (2 if discrete else 3) * n * c * 8)
-        self.emp_sorted, w_rows = self._sorted_rows(p_hat)
-        self.emp_cdf = np.cumsum(w_rows, axis=1)
+        guard_resident("projection objective", n, c, 8 * c * (2 * n + 1))
+        self.emp_sorted, self._emp_table = self._sorted_rows(p_hat)
+        self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
         if discrete:
             # template atoms are offsets about its center
-            self._tpl_sorted, tpl_w = self._sorted_rows(tmpl.atoms)
-            self._tpl_cdf = np.cumsum(tpl_w, axis=1)
+            self._tpl_sorted, self._tpl_table = self._sorted_rows(tmpl.atoms)
             g = n + tmpl.atoms.size
             # bytes per (center, direction) pair: right- and left-limit
             # comparisons and grid rows
             self._pair_bytes = 2 * g * (g + 64)
             return
         self._pair_bytes = 8 * n                 # one shifted row
-        self.emp_left = self.emp_cdf - w_rows
         if tmpl.variant == UNIFORM_BALL:
             # dense one-off table: the incomplete-beta cap mass is far too
             # slow to evaluate per probe; interpolation error is ~1e-7
@@ -167,9 +166,12 @@ class _BatteryObjective:
             self._ball_cdf = np.where(grid >= 0.0, 1.0 - tail, tail)
 
     def _sorted_rows(self, atoms: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
-        """Projections of ``atoms`` on the battery, sorted per direction, and
-        their weights, as (c, n) rows."""
-        return sort_projections((atoms.points @ self.dirs.T).T, atoms.weights)
+        """Projections of ``atoms`` on the battery, sorted per direction, as
+        (c, n) rows, and the (c, n + 1) masses of each row's first k ranks:
+        the total less the :func:`~halfspace.depth.sorted_suffix` masses, so
+        column 0 is 0 and column k + 1 is the CDF at rank k."""
+        rows, suffix = sorted_suffix((atoms.points @ self.dirs.T).T, mass_units(atoms.weights))
+        return rows, (suffix[:, :1] - suffix) * _MASS_UNIT
 
     def _project(self, mus: np.ndarray) -> np.ndarray:
         """(m, c) battery projections of the centers ``mus`` (m, d), one
@@ -217,8 +219,8 @@ class _BatteryObjective:
         jumps[..., :n] = emp
         jumps[..., n:] = tpl
         grid = np.stack([jumps, np.nextafter(jumps, -np.inf)])[..., None]
-        diff = (_step_cdf(emp[:, None, :], self.emp_cdf[cols], grid)
-                - _step_cdf(tpl[:, :, None, :], self._tpl_cdf[cols], grid))
+        diff = (_step_cdf(emp[:, None, :], self._emp_table[cols], grid)
+                - _step_cdf(tpl[:, :, None, :], self._tpl_table[cols], grid))
         return np.abs(diff, out=diff).max(axis=(0, 3))
 
     def _sup(self, t0: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
@@ -317,17 +319,14 @@ class _BatteryObjective:
         return objective
 
 
-def _step_cdf(atoms: np.ndarray, cum: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _step_cdf(atoms: np.ndarray, table: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Weight of the atoms at or below each point of ``grid`` (..., b, g, 1),
-    for atoms (..., b, 1, a) sorted along their last axis with cumulative
-    weights ``cum`` (b, a). The count of atoms at or below a point is looked
-    up in ``cum``, so the weight adds the same terms in the same rank order
-    as a sequential sum over the atoms."""
-    b, a = cum.shape
-    table = np.zeros((b, a + 1))
-    table[:, 1:] = cum
+    for atoms (..., b, 1, a) sorted along their last axis: the count of
+    atoms at or below a point is looked up in ``table`` (b, a + 1), whose
+    column k holds the mass of the first k ranks."""
+    b, width = table.shape
     count = np.sum(atoms <= grid, axis=-1)
-    count += np.arange(0, b * (a + 1), a + 1)[:, None]
+    count += np.arange(0, b * width, width)[:, None]
     return table.take(count)
 
 

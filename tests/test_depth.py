@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import halfspace as hs
 from halfspace import depth
-from halfspace.depth import BatteryScorer, row_searchsorted, sort_projections, suffix_masses
+from halfspace.depth import BatteryScorer, mass_units, row_searchsorted, sorted_suffix
+from halfspace.median import weighted_median_interval
 from halfspace.model import ConfigError, WeightedPointSet
 
 
@@ -414,27 +415,48 @@ class TestBatteryScorer:
                                             np.nan, np.inf, -np.inf])),
            st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_row_argsort_is_the_stable_one(self, a, fortran, data):
+    def test_sorted_suffix_does_not_depend_on_atom_order(self, a, fortran, data):
         # few distinct values make long tied runs; -0.0 ties 0.0 with other
-        # bits, and NaNs sort last as one run. The objective passes an
-        # F-ordered view, which must not be written to.
-        if fortran:
-            a = np.asfortranarray(a)
-        before = a.tobytes()
-        w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=a.shape[1],
-                                        max_size=a.shape[1])))
-        ranked, w_sorted = sort_projections(a, w)
-        want = np.argsort(a, axis=1, kind="stable")
-        assert ranked.tobytes() == np.take_along_axis(a, want, axis=1).tobytes()
-        assert w_sorted.tobytes() == w[want].tobytes()
-        assert a.tobytes() == before
+        # bits, and NaNs sort last. The objective passes an F-ordered view,
+        # which must not be written to. Permuting the columns (atoms) may
+        # reorder a tied run, so its values compare as numbers and its
+        # masses are read where a search or a count reads them: at the
+        # edges of each run, where they are exact sums of the units above
+        c, n = a.shape
+        units = mass_units(np.array(data.draw(st.lists(st.floats(0.01, 1.0),
+                                                       min_size=n, max_size=n))))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+        runs = []
+        for rows, row_units in ((a, units), (a[:, perm], units[perm])):
+            if fortran:
+                rows = np.asfortranarray(rows)
+            before = rows.tobytes()
+            ranked, suffix = sorted_suffix(rows, row_units)
+            assert rows.tobytes() == before
+            assert suffix.dtype == np.int64 and suffix.shape == (c, n + 1)
+            runs.append((ranked, suffix))
+        (ranked, suffix), (ranked_p, suffix_p) = runs
+        assert np.array_equal(ranked, ranked_p, equal_nan=True)
+        assert np.array_equal(ranked, np.sort(a, axis=1), equal_nan=True)
+        for row, sorted_row, masses, masses_p in zip(a, ranked, suffix, suffix_p):
+            for side in ("left", "right"):
+                edges = np.searchsorted(sorted_row, sorted_row, side=side)
+                assert masses[edges].tobytes() == masses_p[edges].tobytes()
+            for key in row[~np.isnan(row)]:
+                edge = np.searchsorted(sorted_row, key, side="left")
+                assert masses[edge] == int(units[~(row < key)].sum())   # NaNs sort last
 
     def test_suffix_masses_sum_from_the_last_rank(self):
-        w = np.array([[0.5, 0.25, 0.125], [0.1, 0.2, 0.3]])
-        got = suffix_masses(w)
-        assert got.shape == (2, 4)
-        assert got[0].tolist() == [0.875, 0.375, 0.125, 0.0]
-        assert got[1].tolist() == [(0.3 + 0.2) + 0.1, 0.3 + 0.2, 0.3, 0.0]
+        w = np.array([0.5, 0.25, 0.125, 0.1])
+        units = mass_units(w)
+        assert units.dtype == np.int64
+        assert np.all(np.abs(units * 2.0 ** -60 - w) <= 2.0 ** -61)
+        ranked, suffix = sorted_suffix(np.array([[3.0, 1.0, 2.0, 0.0],
+                                                 [-1.0, 5.0, 4.0, 6.0]]), units)
+        assert ranked.tolist() == [[0.0, 1.0, 2.0, 3.0], [-1.0, 4.0, 5.0, 6.0]]
+        u = [int(x) for x in units]
+        assert suffix.tolist() == [[sum(u), u[0] + u[2] + u[1], u[0] + u[2], u[0], 0],
+                                   [sum(u), u[3] + u[1] + u[2], u[3] + u[1], u[3], 0]]
 
     def test_chunked_build_matches_column_layout(self):
         # ~1500 directions at n = 2000 span many construction chunks
@@ -553,6 +575,50 @@ class TestFixedPointMasses:
                 assert got.tobytes() == want.tobytes()
             if ranked is not None:
                 assert scorer._ranked.all() == ranked and scorer._ranked.any() == ranked
+
+
+@st.composite
+def permuted_cases(draw):
+    """An integer-grid atom set of :func:`grid_cases` in R^2 or R^3 (repeated
+    atoms and projections, -0.0 coordinates) with non-dyadic weights, and a
+    permutation of its atoms."""
+    p, _ = draw(grid_cases(d=draw(st.sampled_from([2, 3]))))
+    pts = np.vstack([p.points, p.points[draw(st.lists(st.integers(0, p.size - 1), max_size=6))]])
+    n = len(pts)
+    w = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+    w = (w + 1.0 / 3.0) / (w.sum() + n / 3.0)
+    return WeightedPointSet(pts, w), np.array(draw(st.permutations(range(n))))
+
+
+def bits(values) -> bytes:
+    """Bytes of ``values`` as float64, with -0.0 read as 0.0: the sign of a
+    zero coordinate follows which of two tied atoms sorts first."""
+    return (np.asarray(values, dtype=float) + 0.0).tobytes()
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(permuted_cases(), st.integers(0, 3))
+    def test_outputs_keep_their_bits_when_atoms_are_permuted(self, case, seed):
+        p, perm = case
+        q = WeightedPointSet(p.points[perm], p.weights[perm])
+        ts = np.arange(0.0, 4.25, 0.25)
+        ys = [0.05, 0.2, 1.0 / 3.0, 0.5, 0.75, 1.0]
+        for center in (np.zeros(p.dim), p.points[0]):
+            a, b = (hs.DecayProfile.empirical(x, center, budget=16, rng=seed) for x in (p, q))
+            assert bits([a.eval(t) for t in ts]) == bits([b.eval(t) for t in ts])
+            assert bits([a.inverse(y) for y in ys]) == bits([b.inverse(y) for y in ys])
+        for k in range(p.dim):
+            assert (bits(weighted_median_interval(p.points[:, k], p.weights))
+                    == bits(weighted_median_interval(q.points[:, k], q.weights)))
+        assert bits(hs.coordinatewise_median(p)) == bits(hs.coordinatewise_median(q))
+        start = np.full(p.dim, 0.25)
+        for run in (lambda x: hs.median_candidates(x, "sampled", budget=16, rng=seed),
+                    lambda x: hs.median_refine(x, start, "sampled", steps=4, budget=16, rng=seed)):
+            a, b = run(p), run(q)
+            assert bits(a.point) == bits(b.point)
+            assert bits(a.achieved_depth) == bits(b.achieved_depth)
+            assert a.candidate_count == b.candidate_count
 
 
 class TestDirectionBlocks:

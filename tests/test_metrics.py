@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfspace as hs
+from halfspace import depth
 from halfspace.metrics import DecayProfile, normal_cdf, normal_quantile
-from halfspace.model import WeightedPointSet
+from halfspace.model import ConfigError, WeightedPointSet
 
 
 def erf_cdf(x: float) -> float:
@@ -140,6 +141,23 @@ class TestDecayProfiles:
             assert profile.eval(x + delta) < y
             if x > 0:
                 assert profile.eval(max(x - delta, 0.0)) >= y
+
+
+class TestDecayProfileMemoryGuard:
+    def test_cap_is_the_resident_size(self, monkeypatch):
+        # the sorted (c, n) projections and the (c, n + 1) tail masses
+        atoms = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 300, rng=7)
+        prof = DecayProfile.empirical(atoms, np.zeros(3), budget=32, rng=8)
+        c, n = prof._emp_sorted.shape
+        resident = 8 * c * (2 * n + 1)
+        assert prof._emp_sorted.nbytes + prof._emp_suffix.nbytes == resident
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
+        with pytest.raises(ConfigError, match=f"decay profile needs {resident} bytes for "
+                                              f"n={n} atoms and c={c} directions.*lower budget"):
+            DecayProfile.empirical(atoms, np.zeros(3), budget=32, rng=8)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
+        again = DecayProfile.empirical(atoms, np.zeros(3), budget=32, rng=8)
+        assert again.eval(0.5) == prof.eval(0.5)
 
 
 class TestDistances:

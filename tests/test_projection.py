@@ -107,12 +107,14 @@ class TestObjectiveMemoryGuard:
         p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(2), 1.0), 300, rng=1)
         fam = gaussian_family(d=2)
         c = len(_BatteryObjective(fam, p, 32, hs.make_rng(0)).dirs)
-        # three resident (c, n) float64 arrays for a continuous template
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 3 * 300 * c * 8 - 1)
-        with pytest.raises(ConfigError, match=f"projection objective needs {3 * 300 * c * 8} "
+        # the sorted (c, n) rows and the (c, n + 1) table of masses below
+        # each rank, float64
+        resident = 8 * c * (2 * 300 + 1)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
+        with pytest.raises(ConfigError, match=f"projection objective needs {resident} "
                                               f"bytes for n=300 atoms and c={c} directions"):
             _BatteryObjective(fam, p, 32, hs.make_rng(0))
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 3 * 300 * c * 8)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
         _BatteryObjective(fam, p, 32, hs.make_rng(0))
 
     def test_discrete_template_counts_two_arrays(self, monkeypatch):
@@ -120,10 +122,10 @@ class TestObjectiveMemoryGuard:
         _, tetra = hs.attack_tetrahedron(5.0)
         c = len(_BatteryObjective(fam, tetra, 64, hs.make_rng(0)).dirs)
         n = tetra.consolidate().size
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 2 * n * c * 8 - 1)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 8 * c * (2 * n + 1) - 1)
         with pytest.raises(ValueError, match="lower budget"):
             _BatteryObjective(fam, tetra, 64, hs.make_rng(0))
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 2 * n * c * 8)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 8 * c * (2 * n + 1))
         _BatteryObjective(fam, tetra, 64, hs.make_rng(0))
 
 
@@ -159,23 +161,26 @@ def step_sup_reference(objective, p_hat, mu):
     """Per-direction sup distances between the square template at ``mu``
     and ``p_hat`` by the einsum formula the objective used before it took
     directions in blocks: both step CDFs' right and left limits at the
-    union of their jump points, each CDF a sum over atoms in rank order."""
+    union of their jump points. Each CDF is a fixed-point sum over the
+    atoms, in any order: the weights rounded to int64 units of 2**-60,
+    summed exactly and converted to float once."""
     tmpl = objective.family.template.atoms
 
     def cols(atoms):
-        # (n, c) columns in C order: einsum's summation order follows the
-        # memory layout
-        return [np.ascontiguousarray(a.T) for a in depth.sort_projections(
-            (atoms.points @ objective.dirs.T).T, atoms.weights)]
+        # (n, c) projections and the (n,) units of their weights
+        return (atoms.points @ objective.dirs.T,
+                np.rint(atoms.weights * 2.0 ** 60).astype(np.int64))
 
-    emp, emp_w = cols(p_hat.consolidate())
-    tpl, tpl_w = cols(tmpl)
+    emp, emp_u = cols(p_hat.consolidate())
+    tpl, tpl_u = cols(tmpl)
     tpl = tpl + (objective.dirs @ mu)[None, :]
-    grid = np.vstack([emp, tpl])
-    f_right = np.einsum("gnc,nc->gc", emp[None] <= grid[:, None], emp_w)
-    f_left = np.einsum("gnc,nc->gc", emp[None] < grid[:, None], emp_w)
-    q_right = np.einsum("gkc,kc->gc", tpl[None] <= grid[:, None], tpl_w)
-    q_left = np.einsum("gkc,kc->gc", tpl[None] < grid[:, None], tpl_w)
+    grid = np.vstack([emp, tpl])[:, None]
+
+    def cdf(atoms, units, below):
+        return np.einsum("gac,a->gc", below(atoms[None], grid), units) * 2.0 ** -60
+
+    f_right, f_left = cdf(emp, emp_u, np.less_equal), cdf(emp, emp_u, np.less)
+    q_right, q_left = cdf(tpl, tpl_u, np.less_equal), cdf(tpl, tpl_u, np.less)
     return np.maximum(np.abs(f_right - q_right).max(axis=0), np.abs(f_left - q_left).max(axis=0))
 
 
