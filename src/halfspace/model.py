@@ -111,15 +111,16 @@ class WeightedPointSet:
     def consolidate(self) -> "WeightedPointSet":
         """Merge atoms with exactly equal coordinates (weights added).
 
-        Output atoms are in lexicographic coordinate order, and the weights
-        of a merged atom are added in ascending order, so the result does not
-        depend on the input order.
+        Output atoms are in lexicographic coordinate order, the weights of a
+        merged atom are added in ascending order, and a zero coordinate is
+        +0.0 (``np.unique`` keeps whichever signed zero sorts first), so the
+        result does not depend on the input order.
         """
         uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
         w = np.zeros(uniq.shape[0])
         ascending = np.argsort(self.weights)
         np.add.at(w, inverse.ravel()[ascending], self.weights[ascending])
-        return WeightedPointSet(uniq, w)
+        return WeightedPointSet(uniq + 0.0, w)
 
     # -- serialization: CSV with header w,x1,...,xd and a JSON mirror --
 

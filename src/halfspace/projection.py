@@ -15,6 +15,13 @@ Each pattern search minimizes its own floored copy of the objective
 beat the search's incumbent costs the directions it takes to prove it,
 often one, and gets a lower bound at or above the incumbent, so the search
 takes the same path and returns the same bits as with exact values.
+
+Inside a direction, a continuous (Gaussian or uniform-ball) template is
+first evaluated at every ceil(sqrt(n))-th sorted projection. The sorted row
+and both CDFs are monotone, so those values bound every block of ranks
+between them, and only blocks whose bound can still raise the objective
+are evaluated in full; the objective keeps the bits of the full-row
+formula.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .rng import RngLike, make_rng
 _DOMINATION_GRID = 32
 _DOMINATION_SLACK = 1e-9
 _TEMP_BYTES = 4_000_000      # temporaries of one kernel call or one group of centers
+_CDF_SLACK = 1e-12           # covers ulp-level drops of ndtr and np.interp along a sorted row
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +128,23 @@ class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
     distance between the translated template CDF and the empirical CDF.
 
-    The sorted projections are contiguous (c, n) rows, one per direction,
-    beside one (c, n + 1) fixed-point table of the mass below each rank;
-    ``emp_cdf`` and ``emp_left`` are views of it. A discrete template keeps
-    its own sorted atom projections and table beside them. Construction refuses
-    (:func:`~halfspace.depth.guard_resident`) a battery whose resident
-    arrays would take too much memory.
+    The sorted projections are (c, n) rows, one per direction, beside one
+    (c, n + 1) fixed-point table of the mass below each rank; ``emp_cdf`` and
+    ``emp_left`` are views of it. A discrete template keeps its own sorted
+    atom projections and table beside them. A continuous template pads the
+    rows to whole blocks of ceil(sqrt(n)) ranks, viewed as (c, blocks, step)
+    arrays, and keeps (c, k) copies of the rows and both CDFs at its k
+    coarse ranks: the first rank of every block and the last rank.
+    Construction refuses (:func:`~halfspace.depth.guard_resident`) a battery
+    whose resident arrays would take too much memory.
 
     Every evaluation runs through :meth:`_sup`, which takes directions in
     the blocks of :func:`~halfspace.depth.direction_blocks` and hands each
     block to the template's kernel, so no temporary is (n, c). Calling the
     objective, or :meth:`batch`, gives exact values; ``floored()`` gives the
     objective one pattern search minimizes, which stops evaluating a center
-    once it cannot beat that search's incumbent.
+    once it cannot beat that search's incumbent. Both go through the same
+    kernels.
     """
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
@@ -145,10 +157,10 @@ class _BatteryObjective:
         tmpl = family.template
         self._discrete = discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
-        guard_resident("projection objective", n, c, 8 * c * (2 * n + 1))
-        self.emp_sorted, self._emp_table = self._sorted_rows(p_hat)
-        self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
         if discrete:
+            guard_resident("projection objective", n, c, 8 * c * (2 * n + 1))
+            self.emp_sorted, self._emp_table = self._sorted_rows(p_hat)
+            self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
             # template atoms are offsets about its center
             self._tpl_sorted, self._tpl_table = self._sorted_rows(tmpl.atoms)
             g = n + tmpl.atoms.size
@@ -156,7 +168,25 @@ class _BatteryObjective:
             # comparisons and grid rows
             self._pair_bytes = 2 * g * (g + 64)
             return
-        self._pair_bytes = 8 * n                 # one shifted row
+        # blocks of `step` ranks; the coarse ranks are their first ranks and
+        # the last rank, and rows are padded to whole blocks
+        step = math.isqrt(n - 1) + 1
+        width = -(-n // step) * step
+        coarse = np.minimum(np.arange(0, n + step - 1, step), n - 1)
+        guard_resident("projection objective", n, c, 8 * c * (2 * width + 1 + 3 * coarse.size))
+        rows, table = self._sorted_rows(p_hat, width)
+        self.emp_sorted, self._emp_table = rows[:, :n], table[:, :n + 1]
+        self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
+        self._coarse_sorted = rows[:, coarse]
+        self._coarse_cdf = self.emp_cdf[:, coarse]
+        self._coarse_left = self.emp_left[:, coarse]
+        self._block_sorted = rows.reshape(c, -1, step)
+        self._block_cdf = table[:, 1:].reshape(c, -1, step)
+        self._block_left = table[:, :-1].reshape(c, -1, step)
+        # five coarse rows per (center, direction) pair, and five rows of one
+        # block per refined block
+        self._pair_bytes = 40 * coarse.size
+        self._refine_bytes = 40 * step
         if tmpl.variant == UNIFORM_BALL:
             # dense one-off table: the incomplete-beta cap mass is far too
             # slow to evaluate per probe; interpolation error is ~1e-7
@@ -165,13 +195,21 @@ class _BatteryObjective:
             self._ball_grid = grid
             self._ball_cdf = np.where(grid >= 0.0, 1.0 - tail, tail)
 
-    def _sorted_rows(self, atoms: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_rows(self, atoms: WeightedPointSet,
+                     width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Projections of ``atoms`` on the battery, sorted per direction, as
         (c, n) rows, and the (c, n + 1) masses of each row's first k ranks:
         the total less the :func:`~halfspace.depth.sorted_suffix` masses, so
-        column 0 is 0 and column k + 1 is the CDF at rank k."""
+        column 0 is 0 and column k + 1 is the CDF at rank k. Given a
+        ``width`` above n, both are padded to it by repeating their last
+        column."""
         rows, suffix = sorted_suffix((atoms.points @ self.dirs.T).T, mass_units(atoms.weights))
-        return rows, (suffix[:, :1] - suffix) * _MASS_UNIT
+        n, width = atoms.size, width or atoms.size
+        table = np.empty((len(rows), width + 1))
+        np.subtract(suffix[:, :1], suffix, out=table[:, :n + 1])
+        table[:, :n + 1] *= _MASS_UNIT
+        table[:, n + 1:] = table[:, n:n + 1]
+        return np.pad(rows, ((0, 0), (0, width - n)), mode="edge"), table
 
     def _project(self, mus: np.ndarray) -> np.ndarray:
         """(m, c) battery projections of the centers ``mus`` (m, d), one
@@ -192,16 +230,46 @@ class _BatteryObjective:
         flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf, left=0.0, right=1.0)
         return flat.reshape(shifted.shape)
 
-    def _continuous_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def _continuous_block(self, t0: np.ndarray, cols: np.ndarray, running: np.ndarray,
+                          floor: float) -> np.ndarray:
         """(r, b) sup distances on directions ``cols`` (b,) for centers whose
-        projections on them are ``t0`` (r, b): the max of the two one-sided
-        differences between the empirical and template CDFs, through one
-        (r, b, n) temporary."""
-        shifted = self.emp_sorted[cols] - t0[:, :, None]
-        f = self._template_cdf(shifted)
-        block = np.max(np.subtract(self.emp_cdf[cols], f, out=shifted), axis=2)
-        return np.maximum(block, np.max(np.subtract(f, self.emp_left[cols], out=shifted),
-                                        axis=2), out=block)
+        projections on them are ``t0`` (r, b) and whose running maxima are
+        ``running`` (r,): the max of the two one-sided differences between
+        the empirical and template CDFs, exact wherever a center's max can
+        still rise, a lower bound elsewhere.
+
+        The template CDF F is first evaluated at the coarse ranks of each
+        row. A rank a <= k <= b between two adjacent coarse ranks has
+        ``emp_cdf[k] - F(s_k) <= emp_cdf[b] - F(s_a)`` and
+        ``F(s_k) - emp_left[k] <= F(s_b) - emp_left[a]``, since s and both
+        CDFs are monotone. Only blocks whose bound exceeds the center's bar,
+        the larger of its running max and its best coarse value, less
+        ``_CDF_SLACK``, are evaluated in full, so each center's max has the
+        bits of the full-row formula; a center whose bar reaches ``floor``
+        keeps its coarse values.
+        """
+        f = self._template_cdf(self._coarse_sorted[cols] - t0[:, :, None])   # (r, b, k)
+        cdf, left = self._coarse_cdf[cols], self._coarse_left[cols]
+        sup = np.maximum(np.max(cdf - f, axis=2), np.max(f - left, axis=2))
+        bound = np.maximum(cdf[:, 1:] - f[..., :-1], f[..., 1:] - left[:, :-1])
+        bar = np.maximum(running, sup.max(axis=1))
+        bar[bar >= floor] = math.inf
+        center, col, block = np.nonzero(bound > (bar - _CDF_SLACK)[:, None, None])
+        chunk = max(1, _TEMP_BYTES // self._refine_bytes)
+        for at in range(0, center.size, chunk):
+            part = slice(at, at + chunk)
+            i, j = center[part], col[part]
+            np.maximum.at(sup, (i, j), self._block_sups(t0[i, j], cols[j], block[part]))
+        return sup
+
+    def _block_sups(self, t: np.ndarray, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """(T,) sup distances over the ranks of block ``blocks[i]`` of battery
+        row ``rows[i]`` for a center projecting to ``t[i]``, by the full-row
+        formula. A padded rank repeats the last rank's value and CDF and has
+        the total as its left limit, so it never exceeds the last rank."""
+        f = self._template_cdf(self._block_sorted[rows, blocks] - t[:, None])
+        return np.maximum(np.max(self._block_cdf[rows, blocks] - f, axis=1),
+                          np.max(f - self._block_left[rows, blocks], axis=1))
 
     def _discrete_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(r, b) exact sup distances between two step CDFs on directions
@@ -231,19 +299,20 @@ class _BatteryObjective:
         ``order`` (battery order if None). A center drops out once its
         running max reaches ``floor``.
 
-        Returns the (m,) values, and fills the per-direction sups into
-        ``per_direction`` (m, c) when the caller passes one. A value below
-        ``floor`` is the exact objective, with every direction of its row
-        filled in; otherwise it is a lower bound on the objective that is at
-        least ``floor``. Each block is handed to the template's kernel in
-        parts of at most ``_TEMP_BYTES`` of temporaries. Neither the block
-        order nor the parts change any bits: each entry is computed on its
+        Returns the (m,) values, and fills the kernels' per-direction values
+        into ``per_direction`` (m, c) when the caller passes one: exact for
+        a discrete template; for a continuous one, lower bounds that are
+        exact wherever the sup exceeds the kernel's bar. A value below
+        ``floor`` is the exact objective; otherwise it is a lower bound on
+        the objective that is at least ``floor``. Each block is handed to
+        the template's kernel with each center's running max, in parts of
+        at most ``_TEMP_BYTES`` of temporaries. Neither the block order nor
+        the parts change the bits of a value: each entry is computed on its
         own, and a max is exact.
         """
         m, c = t0.shape
         if order is None:
             order = np.arange(c)
-        kernel = self._discrete_block if self._discrete else self._continuous_block
         pairs = max(1, _TEMP_BYTES // self._pair_bytes)   # (center, direction) pairs per part
         values = np.zeros(m)
         live = np.arange(m)
@@ -257,7 +326,9 @@ class _BatteryObjective:
                 rows = max(1, pairs // cols.size)
                 for start in range(0, live.size, rows):
                     part = live[start:start + rows]
-                    got = kernel(t0[part[:, None], cols], cols)
+                    t = t0[part[:, None], cols]
+                    got = (self._discrete_block(t, cols) if self._discrete
+                           else self._continuous_block(t, cols, values[part], floor))
                     if per_direction is not None:
                         per_direction[part[:, None], cols] = got
                     values[part] = np.maximum(values[part], got.max(axis=1))
@@ -287,11 +358,9 @@ class _BatteryObjective:
         the per-direction values of the center that set the floor (the best
         so far), so most rejected probes stop after one direction.
 
-        A continuous template evaluates one probe at a time, so a probe
-        that sets a new floor cuts the probes after it in the same call. A
-        discrete template's probes are cheap, so each call goes through
-        :meth:`_sup` at once, against the floor at the start of the call;
-        the least exact value below it then becomes the floor.
+        Each call goes through :meth:`_sup` at once, against the floor at
+        the start of the call; the least exact value below it then becomes
+        the floor.
 
         ``pattern_search_min`` accepts a probe only when it is strictly below
         ``fx``, which is this floor, so it accepts the same probes, with the
@@ -302,19 +371,13 @@ class _BatteryObjective:
 
         def objective(mus: np.ndarray) -> np.ndarray:
             nonlocal floor, order
-            t0 = self._project(mus)
-            group = len(mus) if self._discrete else 1
-            out = np.empty(len(mus))
-            for start in range(0, len(mus), group):
-                part = t0[start:start + group]
-                per_direction = np.empty(part.shape)
-                values = self._sup(part, floor, order, per_direction)
-                out[start:start + group] = values
-                best = int(np.argmin(values))
-                if values[best] < floor:
-                    floor = float(values[best])
-                    order = np.argsort(-per_direction[best], kind="stable")
-            return out
+            per_direction = np.empty((len(mus), len(self.dirs)))
+            values = self._sup(self._project(mus), floor, order, per_direction)
+            best = int(np.argmin(values))
+            if values[best] < floor:
+                floor = float(values[best])
+                order = np.argsort(-per_direction[best], kind="stable")
+            return values
 
         return objective
 

@@ -591,9 +591,8 @@ def permuted_cases(draw):
 
 
 def bits(values) -> bytes:
-    """Bytes of ``values`` as float64, with -0.0 read as 0.0: the sign of a
-    zero coordinate follows which of two tied atoms sorts first."""
-    return (np.asarray(values, dtype=float) + 0.0).tobytes()
+    """Bytes of ``values`` as float64."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 class TestPermutationInvariance:

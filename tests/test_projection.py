@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfspace as hs
 from halfspace import depth, projection
@@ -102,14 +104,105 @@ class TestFamilyDistance:
             hs.family_distance([0.0, 0.0], fam, WeightedPointSet.delta([0.0]), budget=8, rng=0)
 
 
+def full_row_sups(objective, mus):
+    """(m, c) per-direction sup distances at the centers ``mus`` by the
+    full-row formula: the template CDF at every sorted projection."""
+    tmpl = objective.family.template
+    out = np.empty((len(mus), len(objective.dirs)))
+    for i, mu in enumerate(mus):
+        shifted = objective.emp_sorted - (objective.dirs @ mu)[:, None]
+        if tmpl.variant == "gaussian_isotropic":
+            f = normal_cdf(shifted / tmpl.scale)
+        else:
+            f = np.interp(shifted, objective._ball_grid, objective._ball_cdf, left=0.0, right=1.0)
+        out[i] = np.maximum(np.max(objective.emp_cdf - f, axis=1),
+                            np.max(f - objective.emp_left, axis=1))
+    return out
+
+
+@st.composite
+def continuous_cases(draw):
+    """Gaussian (several scales) or uniform-ball templates over sample
+    sizes on both sides of whole blocks, with tied projections, -0.0
+    coordinates, an optional 1e7 translation, and centers at atoms, near
+    the data and far enough out that the template CDF saturates."""
+    n = draw(st.sampled_from([1, 2, 3, 43, 44, 45, 46, 50, 2000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spacing = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    pts = rng.standard_normal((n, 3))
+    if spacing:
+        pts = np.round(pts / spacing) * spacing
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    # weights over six decades make some block bounds nearly tight
+    w = 10.0 ** rng.uniform(-6.0, 0.0, n) if draw(st.booleans()) else np.ones(n)
+    centers = np.vstack([pts[rng.integers(0, n, 2)], 0.3 * rng.standard_normal((3, 3)),
+                         [[50.0, 0.0, 0.0], [0.0, -50.0, -0.0], [-0.0, 0.0, 0.0]]])
+    shift = draw(st.sampled_from([0.0, 1e7]))
+    p = WeightedPointSet(pts + shift, w / w.sum())
+    scale = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    family = draw(st.sampled_from([gaussian_family(d=3, sigma=scale),
+                                   ball_family(radius=scale)]))
+    return family, p, centers + shift
+
+
+class TestContinuousKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(continuous_cases(), st.integers(0, 3))
+    def test_equals_the_full_row_formula_per_direction(self, case, seed):
+        family, p, centers = case
+        objective = _BatteryObjective(family, p, 8, hs.make_rng(seed))
+        want = full_row_sups(objective, centers)
+        t0 = objective._project(centers)
+        got = np.empty(t0.shape)
+        for j in range(t0.shape[1]):
+            cols = np.array([j])
+            got[:, [j]] = objective._continuous_block(t0[:, cols], cols, np.zeros(len(t0)),
+                                                      math.inf)
+        assert got.tobytes() == want.tobytes()
+        assert objective.batch(centers).tobytes() == np.maximum(want.max(axis=1), 0.0).tobytes()
+
+    def test_refines_a_block_that_beats_its_coarse_ranks_by_1e_13(self):
+        # ranks 40-45 project, less the center's 3, to exactly -3.0, where
+        # the template CDF is flat; ranks 41-49 weigh 1e-12 each, so the
+        # row's sup sits inside the block of ranks 40-48, about 1.2e-13
+        # above its best coarse value, and that block's bound only 2e-13
+        # above it
+        pts = np.concatenate([-100.0 - np.arange(40.0), np.arange(6) * 1e-17,
+                              [0.5, 1.0, 1.5, 2.0]])
+        w = np.concatenate([np.ones(41), np.full(9, 1e-12)])
+        p = WeightedPointSet(pts[:, None], w / w.sum())
+        objective = _BatteryObjective(gaussian_family(), p, 8, hs.make_rng(0))
+        assert objective._block_sorted.shape[2] == 8
+        mu = np.array([[3.0]])
+        want = full_row_sups(objective, mu)
+        t0 = objective._project(mu)
+        got = [objective._continuous_block(t0[:, [j]], np.array([j]), np.zeros(1), math.inf)
+               for j in range(t0.shape[1])]
+        assert np.hstack(got).tobytes() == want.tobytes()
+        f = normal_cdf(objective._coarse_sorted[0] - 3.0)
+        coarse_best = np.max(objective._coarse_cdf[0] - f)
+        assert 0.0 < want[0, 0] - coarse_best < 1e-12
+
+    @pytest.mark.parametrize("x0", [1.0, -1.0])
+    def test_normal_cdf_drops_by_ulps_where_the_slack_covers_it(self, x0):
+        # scipy's ndtr is not monotone between adjacent floats, so a block
+        # bound needs the slack to stay an upper bound
+        x = np.sort((np.float64(x0).view(np.int64) + np.arange(-10_000, 10_000)).view(np.float64))
+        drops = -np.diff(normal_cdf(x))
+        assert drops.max() > 0.0
+        assert drops.max() < 1e-3 * projection._CDF_SLACK
+
+
 class TestObjectiveMemoryGuard:
     def test_refuses_arrays_above_the_cap(self, monkeypatch):
         p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(2), 1.0), 300, rng=1)
         fam = gaussian_family(d=2)
         c = len(_BatteryObjective(fam, p, 32, hs.make_rng(0)).dirs)
-        # the sorted (c, n) rows and the (c, n + 1) table of masses below
-        # each rank, float64
-        resident = 8 * c * (2 * 300 + 1)
+        # the sorted rows and the table of masses below each rank, padded to
+        # 17 whole blocks of 18 = ceil(sqrt(300)) ranks, and three (c, 18)
+        # coarse tables (the first rank of each block and the last rank),
+        # float64
+        resident = 8 * c * (2 * 306 + 1 + 3 * 18)
         monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
         with pytest.raises(ConfigError, match=f"projection objective needs {resident} "
                                               f"bytes for n=300 atoms and c={c} directions"):
@@ -229,14 +322,23 @@ class TestFlooredSearch:
         # blocks of 1, 2, 4, ... directions, most promising first
         taken = next(2 ** k - 1 for k in range(1, 64) if 2 ** k - 1 >= needed)
         f = objective.floored()
-        elements = []
+        elements, seen, blocks = [], [], []
         assert f(incumbent[None])[0] == floor
+        kernel, block_sups = objective._continuous_block, objective._block_sups
         with monkeypatch.context() as m:
             m.setattr(projection, "normal_cdf",
                       lambda x: elements.append(np.size(x)) or normal_cdf(x))
+            m.setattr(objective, "_continuous_block",
+                      lambda t0, cols, *a: seen.extend(cols.tolist()) or kernel(t0, cols, *a))
+            m.setattr(objective, "_block_sups",
+                      lambda t, rows, b: blocks.append(b.size) or block_sups(t, rows, b))
             value = f(probe[None])[0]
-        assert sum(elements) == taken * n < c * n
-        assert value == running[taken - 1]
+        assert seen == order[:taken].tolist()
+        # each taken direction costs its coarse ranks, and each block whose
+        # bound can still raise the running max costs its ranks
+        coarse, step = objective._coarse_sorted.shape[1], objective._block_sorted.shape[2]
+        assert sum(elements) == taken * coarse + sum(blocks) * step < taken * n
+        assert floor <= value <= running[taken - 1]
 
     def test_rejected_discrete_probes_stop_at_the_first_block_reaching_the_floor(
             self, monkeypatch):
