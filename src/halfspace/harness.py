@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -31,6 +32,9 @@ from .rng import make_rng, seed_fingerprint, spawn_seeds
 CSV_COLUMNS = ("trial", "estimator", "attack", "mode", "eps", "eps_tilde",
                "n", "d", "error", "score", "bound", "seed", "ms")
 ESTIMATORS = ("tukey", "projection", "cwise_median")
+# integer fields of ExperimentConfig and their least values
+_INTEGER_FIELDS = (("n", 1), ("trials", 1), ("seed", 0), ("budget", 1), ("midpoint_cap", 1),
+                   ("refine_steps", 0), ("proj_starts", 0), ("proj_steps", 0))
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.mode not in CORRUPTION_MODES:
             raise ConfigError(f"unknown corruption mode {self.mode!r}")
-        if self.trials < 1 or self.n < 1:
-            raise ConfigError("need trials >= 1 and n >= 1")
-        if self.budget < 1:
-            raise ConfigError(f"config field budget must be at least 1, got {self.budget}")
+        for name, least in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"config field {name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"config field {name} must be at least {least}, got {value}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"config field delta must lie in (0, 1), got {self.delta!r}")
+        if not 0.0 <= self.c_vc < math.inf:
+            raise ConfigError(f"config field c_vc must be finite and nonnegative, "
+                              f"got {self.c_vc!r}")
         if self.estimator == "projection" and self.template is None:
             raise ConfigError("projection estimator needs a template family")
         if self.mode in ("additive_population", "tv_population") \
@@ -221,10 +232,11 @@ def estimate_location(p_hat: WeightedPointSet, config: ExperimentConfig,
         if p_hat.dim == 1:
             res = median_1d(p_hat)
             return res.point, res.achieved_depth
-        cand = median_candidates(p_hat, engine="auto", budget=config.budget,
+        merged = p_hat.consolidate()
+        cand = median_candidates(merged, engine="auto", budget=config.budget,
                                  midpoint_cap=config.midpoint_cap, rng=rng)
         if config.refine_steps > 0:
-            ref = median_refine(p_hat, cand.point, engine="auto",
+            ref = median_refine(merged, cand.point, engine="auto",
                                 steps=config.refine_steps, budget=config.budget, rng=rng)
             if ref.achieved_depth >= cand.achieved_depth:
                 return ref.point, ref.achieved_depth

@@ -115,7 +115,18 @@ class WeightedPointSet:
         merged atom are added in ascending order, and a zero coordinate is
         +0.0 (``np.unique`` keeps whichever signed zero sorts first), so the
         result does not depend on the input order.
+
+        A set that is already merged (no -0.0, and every atom strictly above
+        the one before it in lexicographic order, checked in O(n d) with no
+        sort) is returned as it is: merging it again would give the same
+        bits.
         """
+        pts = self.points
+        if not np.any((pts == 0.0) & np.signbit(pts)):
+            rows = np.arange(self.size - 1)
+            first = np.argmax(pts[1:] != pts[:-1], axis=1)   # first coordinate that differs
+            if np.all(pts[rows + 1, first] > pts[rows, first]):
+                return self
         uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
         w = np.zeros(uniq.shape[0])
         ascending = np.argsort(self.weights)

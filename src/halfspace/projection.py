@@ -22,6 +22,11 @@ and both CDFs are monotone, so those values bound every block of ranks
 between them, and only blocks whose bound can still raise the objective
 are evaluated in full; the objective keeps the bits of the full-row
 formula.
+
+A discrete template is read only at its own k jumps: between two of them
+the template CDF is constant and the empirical one nondecreasing, so one
+binary search per jump and limit gives each (center, direction) value in
+O(k log n), with the bits of a comparison at every jump of both CDFs.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth import (_MASS_UNIT, direction_battery, direction_blocks, guard_resident, mass_units,
-                    sorted_suffix)
+                    row_searchsorted, sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
 from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
@@ -163,10 +168,10 @@ class _BatteryObjective:
             self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
             # template atoms are offsets about its center
             self._tpl_sorted, self._tpl_table = self._sorted_rows(tmpl.atoms)
-            g = n + tmpl.atoms.size
-            # bytes per (center, direction) pair: right- and left-limit
-            # comparisons and grid rows
-            self._pair_bytes = 2 * g * (g + 64)
+            # the empirical less the template CDF past both supports
+            self._tail = self._emp_table[0, -1] - self._tpl_table[0, -1]
+            # bytes per (center, direction) pair: at most ten 8-byte values per key
+            self._pair_bytes = 160 * tmpl.atoms.size
             return
         # blocks of `step` ranks; the coarse ranks are their first ranks and
         # the last rank, and rows are padded to whole blocks
@@ -274,22 +279,27 @@ class _BatteryObjective:
     def _discrete_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(r, b) exact sup distances between two step CDFs on directions
         ``cols`` (b,) for centers whose projections on them are ``t0``
-        (r, b): both CDFs' right and left limits at the union of their jump
-        points.
+        (r, b), read at the shifted template jumps x_j = s_j + t.
 
-        The left limit at x is the right limit at ``nextafter(x, -inf)``,
-        the largest float below x, so one comparison serves both.
+        With F the empirical CDF and T_j the template mass of its first j
+        ranks, T is constant between jumps and F nondecreasing, so the sup
+        is the max over j of F(x_j-) - T_{j-1} and T_j - F(x_j), and of
+        ``_tail`` past both supports; of tied template atoms the first and
+        the last give the limits. F(x-) counts the atoms below x, and F(x)
+        those below ``nextafter(x, +inf)``: no float lies between x and it,
+        so those are the atoms at or below x.
         """
-        emp = self.emp_sorted[cols]                                  # (b, n)
-        tpl = self._tpl_sorted[cols] + t0[:, :, None]                # (r, b, k)
-        n = emp.shape[1]
-        jumps = np.empty(tpl.shape[:2] + (n + tpl.shape[2],))       # (r, b, g)
-        jumps[..., :n] = emp
-        jumps[..., n:] = tpl
-        grid = np.stack([jumps, np.nextafter(jumps, -np.inf)])[..., None]
-        diff = (_step_cdf(emp[:, None, :], self._emp_table[cols], grid)
-                - _step_cdf(tpl[:, :, None, :], self._tpl_table[cols], grid))
-        return np.abs(diff, out=diff).max(axis=(0, 3))
+        r, b = t0.shape
+        jumps = self._tpl_sorted[cols] + t0[:, :, None]               # (r, b, k)
+        k = jumps.shape[2]
+        keys = np.concatenate([jumps, np.nextafter(jumps, np.inf)], axis=2).reshape(r * b, 2 * k)
+        rows = np.tile(cols, r)
+        emp = self._emp_table[rows[:, None], row_searchsorted(self.emp_sorted, keys, rows)]
+        emp = emp.reshape(r, b, 2 * k)
+        tpl = self._tpl_table[cols]                                    # (b, k + 1)
+        rise = np.max(emp[..., :k] - tpl[:, :-1], axis=2)
+        fall = np.max(tpl[:, 1:] - emp[..., k:], axis=2)
+        return np.maximum(np.maximum(rise, fall, out=rise), self._tail, out=rise)
 
     def _sup(self, t0: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
              per_direction: np.ndarray | None = None) -> np.ndarray:
@@ -382,17 +392,6 @@ class _BatteryObjective:
         return objective
 
 
-def _step_cdf(atoms: np.ndarray, table: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Weight of the atoms at or below each point of ``grid`` (..., b, g, 1),
-    for atoms (..., b, 1, a) sorted along their last axis: the count of
-    atoms at or below a point is looked up in ``table`` (b, a + 1), whose
-    column k holds the mass of the first k ranks."""
-    b, width = table.shape
-    count = np.sum(atoms <= grid, axis=-1)
-    count += np.arange(0, b * width, width)[:, None]
-    return table.take(count)
-
-
 def family_distance(mu, family: TemplateFamily, p_hat: WeightedPointSet,
                     budget: int = 2048, rng: RngLike = 0) -> float:
     """Battery estimate of the halfspace metric between the template centered
@@ -414,7 +413,8 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     given the seed; the best objective never increases across iterations of
     any single search."""
     gen = make_rng(rng)
-    objective = _BatteryObjective(family, p_hat, budget, gen)
+    merged = p_hat.consolidate()
+    objective = _BatteryObjective(family, merged, budget, gen)
     box = family.search_box
 
     def clip(x):
@@ -423,7 +423,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     start_points = [clip(coordinatewise_median(p_hat)), clip(p_hat.mean())]
     start_points.extend(clip(as_point(x)) for x in extra_starts)
     if tukey_start:
-        guess = median_candidates(p_hat, engine="auto", budget=min(budget, 512),
+        guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
                                   midpoint_cap=2_000, rng=gen)
         start_points.append(clip(guess.point))
     if starts > 0:
@@ -434,7 +434,6 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         # Step-CDF objectives are flat away from their minima; the centers
         # that align a template atom onto a data atom are the candidate
         # basin locations, so the best few join the start list.
-        merged = p_hat.consolidate()
         align = (merged.points[:, None, :] - family.template.atoms.points[None, :, :])
         align = np.unique(align.reshape(-1, p_hat.dim), axis=0)
         if len(align) > 4096:

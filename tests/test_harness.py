@@ -53,6 +53,18 @@ class TestConfig:
         assert main(["sweep-bias", "--config", str(path), "--eps-grid", "0.1"]) == 2
         assert "field budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("proj_steps", -1), ("proj_starts", -1), ("midpoint_cap", 0), ("refine_steps", -1),
+        ("budget", 2.5), ("c_vc", -1.0), ("delta", 0.0), ("delta", 1.5), ("n", 2.5),
+        ("trials", True), ("seed", -1)])
+    def test_bad_field_is_refused_at_load(self, tmp_path, capsys, field, value):
+        obj = json.loads((CONFIGS / "gaussian_adaptive.json").read_text())
+        obj[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["sweep-bias", "--config", str(path), "--eps-grid", "0.1"]) == 2
+        assert f"config field {field} " in capsys.readouterr().err
+
     def test_bad_json_raises_config_error(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{\"estimator\": \"tukey\"}")

@@ -30,6 +30,34 @@ class TestWeightedPointSet:
         assert merged.size == 2
         assert merged.weights[merged.points[:, 0] == 1.0] == pytest.approx(0.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_merged_set_is_returned_as_it_is(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-2, 3, size=(n, d)) * 0.5
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+        w = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        merged = WeightedPointSet(pts, w / w.sum()).consolidate()
+        assert merged.consolidate() is merged
+        # a full merge of the merged set gives the same bits
+        uniq = np.unique(merged.points, axis=0) + 0.0
+        assert uniq.tobytes() == merged.points.tobytes()
+        if merged.size > 1:
+            swapped = WeightedPointSet(merged.points[::-1], merged.weights[::-1])
+            again = swapped.consolidate()
+            assert again is not swapped
+            assert again.points.tobytes() == merged.points.tobytes()
+            assert again.weights.tobytes() == merged.weights.tobytes()
+
+    @pytest.mark.parametrize("points", [[[0.0, 1.0], [0.0, 1.0]], [[-0.0, 1.0], [1.0, 0.0]],
+                                        [[1.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [0.0, 1.0]]])
+    def test_unmerged_set_is_merged(self, points):
+        p = WeightedPointSet(np.array(points), np.array([0.5, 0.5]))
+        merged = p.consolidate()
+        assert merged is not p
+        assert not np.any(np.signbit(merged.points))
+        assert merged.consolidate() is merged
+
     def test_csv_round_trip_is_exact(self):
         rng = hs.make_rng(0)
         p = WeightedPointSet.from_points(rng.standard_normal((7, 3)))

@@ -277,6 +277,57 @@ def step_sup_reference(objective, p_hat, mu):
     return np.maximum(np.abs(f_right - q_right).max(axis=0), np.abs(f_left - q_left).max(axis=0))
 
 
+@st.composite
+def discrete_cases(draw):
+    """Square-template cases: integer grids with duplicates and -0.0 (or
+    Gaussian atoms), weights over six decades, an optional 1e7
+    translation, and centers that put a template atom exactly on a data
+    atom beside random ones."""
+    n = draw(st.sampled_from([1, 2, 5, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(-3, 4, size=(n, 3)) * draw(st.sampled_from([0.5, 1.0]))
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    else:
+        pts = rng.standard_normal((n, 3))
+    w = 10.0 ** rng.uniform(-6.0, 0.0, n) if draw(st.booleans()) else np.ones(n)
+    shift = draw(st.sampled_from([0.0, 1e7]))
+    p = WeightedPointSet(pts + shift, w / w.sum())
+    square = hs.square_template_family().template.atoms.points
+    merged = p.consolidate().points
+    align = merged[rng.integers(0, len(merged), 4)] - square[rng.integers(0, 4, 4)]
+    centers = np.vstack([align, rng.uniform(-2.0, 2.0, (3, 3)) + shift])
+    return p, centers
+
+
+class TestDiscreteKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(discrete_cases(), st.integers(0, 3))
+    def test_equals_the_einsum_formula_per_direction(self, case, seed):
+        p, centers = case
+        objective = _BatteryObjective(hs.square_template_family(), p, 8, hs.make_rng(seed))
+        got = objective._discrete_block(objective._project(centers),
+                                        np.arange(len(objective.dirs)))
+        want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_batch_of_centers_takes_one_call_per_direction_block(self, monkeypatch):
+        # each (center, direction) pair needs O(k) temporaries, so a block
+        # of directions goes to the kernel whole, for every center at once
+        p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 1000, rng=1)
+        objective = _BatteryObjective(hs.square_template_family(), p, 128, hs.make_rng(0))
+        calls = []
+        kernel = objective._discrete_block
+        monkeypatch.setattr(objective, "_discrete_block",
+                            lambda t0, cols: calls.append(t0.shape) or kernel(t0, cols))
+        centers = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
+        values = objective.batch(centers)
+        c = len(objective.dirs)
+        assert calls == [(4, len(range(c)[s])) for s in depth.direction_blocks(c)]
+        whole = kernel(objective._project(centers), np.arange(c))
+        assert values.tobytes() == whole.max(axis=1).tobytes()
+
+
 class TestFlooredSearch:
     """Each pattern search gets an objective that stops evaluating a probe
     once it cannot beat that search's incumbent; the searches still take the
@@ -370,7 +421,7 @@ class TestFlooredSearch:
         assert sum(pairs) == sum(taken) < len(probes) * c
         assert values.tolist() == want
 
-    @pytest.mark.parametrize("case", ["tetra", "apex", "random_weights"])
+    @pytest.mark.parametrize("case", ["tetra", "apex", "random_weights", "heavier_data"])
     def test_discrete_kernel_matches_the_einsum_formula(self, case):
         # at alignment centers template atoms land exactly on data atoms,
         # so the right and left limits differ at shared jump points
@@ -378,6 +429,11 @@ class TestFlooredSearch:
             p = hs.attack_tetrahedron(5.0)[1]
         elif case == "apex":
             p = hs.apex_move(hs.square_distribution().atoms_absolute(), 0.3, 50.0)
+        elif case == "heavier_data":
+            # the template's own atoms with 4e-12 more mass in all: at the
+            # center 0 the CDFs differ only past both supports
+            square = hs.square_distribution().atoms
+            p = WeightedPointSet(square.points, square.weights + 1e-12)
         else:
             rng = np.random.default_rng(4)
             w = rng.random(30)
