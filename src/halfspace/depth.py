@@ -474,9 +474,11 @@ def mass_units(weights: np.ndarray) -> np.ndarray:
     return np.rint(weights / _MASS_UNIT).astype(np.int64)
 
 
-def sorted_suffix(proj: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``proj`` (c, n) sorted ascending by a plain argsort, and
-    the (c, n + 1) int64 tail masses of ``units`` (n,) in each row's order:
+def sorted_suffix(proj: np.ndarray, units: np.ndarray,
+                  key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``proj`` (c, n) sorted ascending by a plain argsort (or,
+    given ``key`` (c, n), by ``proj`` with ties broken by ``key``), and the
+    (c, n + 1) int64 tail masses of ``units`` (n,) in each row's order:
     column i holds the units from rank i on, and the last column is 0.
 
     This is the one cumulative sum of weights over sorted projections. An
@@ -487,7 +489,7 @@ def sorted_suffix(proj: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.n
     within about n·2**-61 (plus one rounding) of the float sum. ``proj`` may
     be any view; it is not written to.
     """
-    order = np.argsort(proj, axis=1)
+    order = np.argsort(proj, axis=1) if key is None else np.lexsort((key, proj), axis=1)
     suffix = np.zeros((proj.shape[0], proj.shape[1] + 1), dtype=np.int64)
     np.cumsum(units[order], axis=1, out=suffix[:, 1:])
     np.subtract(units.sum(), suffix, out=suffix)      # total less the units below rank i

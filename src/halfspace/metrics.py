@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
-from .depth import _MASS_UNIT, direction_battery, guard_resident, mass_units, sorted_suffix
+from .depth import (_BUILD_PAIRS, _MASS_UNIT, _project_rows, direction_battery, guard_resident,
+                    mass_units, sorted_suffix)
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
@@ -212,70 +213,63 @@ def decay_for(dist: NamedDistribution, budget: int = 2048, rng: RngLike = 0) -> 
 # distances between atomic distributions
 # ---------------------------------------------------------------------------
 
-def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
-    """Exact total variation between atomic distributions.
-
-    Atoms are aligned by exact coordinate value (so ``-0.0`` meets ``0.0``);
-    the value is the summed positive part of the weight differences.
-    """
+def _signed_union(p: WeightedPointSet, q: WeightedPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct atoms of p and q (lexicographic order, ``-0.0`` folded
+    into ``0.0``) and their signed int64 masses: the :func:`mass_units` of
+    p less those of q."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    pc = p.consolidate()
-    qc = q.consolidate()
-    table: dict[tuple, float] = {}
-    for pt, w in zip(pc.points.tolist(), pc.weights):
-        table[tuple(pt)] = table.get(tuple(pt), 0.0) + float(w)
-    for pt, w in zip(qc.points.tolist(), qc.weights):
-        table[tuple(pt)] = table.get(tuple(pt), 0.0) - float(w)
-    return sum(v for v in table.values() if v > 0)
+    points, inverse = np.unique(np.vstack([p.points, q.points]) + 0.0, axis=0,
+                                return_inverse=True)
+    units = np.zeros(len(points), dtype=np.int64)
+    np.add.at(units, inverse.ravel(),
+              np.concatenate([mass_units(p.weights), -mass_units(q.weights)]))
+    return points, units
 
 
-def _suffix_masses(values: np.ndarray, weights: np.ndarray, grid: np.ndarray):
-    """Closed and open tail masses P(value >= s), P(value > s) on ``grid``."""
-    (sv,), (units,) = sorted_suffix(values[None, :], mass_units(weights))
-    suffix = units * _MASS_UNIT
-    ge = suffix[np.searchsorted(sv, grid, side="left")]
-    gt = suffix[np.searchsorted(sv, grid, side="right")]
-    return ge, gt
+def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
+    """Exact total variation between atomic distributions: the summed
+    positive part of the signed masses of the atom union, in fixed point."""
+    _, units = _signed_union(p, q)
+    return float(units[units > 0].sum() * _MASS_UNIT)
 
 
-def _scan_direction(v: np.ndarray, p: WeightedPointSet, q: WeightedPointSet,
-                    boundary_adjust: bool) -> float:
-    """Exact sup over thresholds t of |p(v.x >= t) - q(v.x >= t)| along one v.
+def _max_signed_tail(points: np.ndarray, units: np.ndarray, dirs: np.ndarray) -> float:
+    """Largest |signed mass| of a halfspace cut over the directions ``dirs``.
 
-    With ``boundary_adjust`` (d = 2 exact mode) the scan also scores the
-    subsets reachable by rotating the boundary line infinitesimally about a
-    pivot: atoms on the line, ordered along it, can be split into a prefix
-    and a suffix.
+    The union is projected once per chunk of directions, and each row's
+    int64 tails come from one :func:`sorted_suffix`. A cut sits at an edge
+    of a run of tied projections (a closed or an open tail). In the plane
+    every rank of two orders is a cut as well: by run, then by the
+    coordinate across the direction, ascending or descending. Those are the
+    boundary lines turned infinitesimally about a pivot, which move a
+    prefix or a suffix of the atoms on the line. That needs every atom of
+    the line in one run, so there a run chains projections within ``tol``
+    of the one below: a coordinate-wise sum of two products is within
+    2·eps·|x|_1 of its exact value, and rounding cannot split a line.
     """
-    pa = p.points @ v
-    qa = q.points @ v
-    grid = np.unique(np.concatenate([pa, qa]))
-    p_ge, p_gt = _suffix_masses(pa, p.weights, grid)
-    q_ge, q_gt = _suffix_masses(qa, q.weights, grid)
-    best = float(np.max(np.abs(np.concatenate([p_ge - q_ge, p_gt - q_gt]))))
-    if not boundary_adjust:
-        return best
-    perp = np.array([-v[1], v[0]])
-    pp = p.points @ perp
-    qp = q.points @ perp
-    for k, s in enumerate(grid):
-        base = p_gt[k] - q_gt[k]
-        pos: dict[float, float] = {}
-        for locs, deltas in (((pa, pp), p.weights), ((qa, qp), -q.weights)):
-            along, across = locs
-            on = along == s
-            for u, w in zip(across[on], deltas[on]):
-                pos[float(u)] = pos.get(float(u), 0.0) + float(w)
-        if not pos:
-            continue
-        deltas = np.array([pos[u] for u in sorted(pos)])
-        pref = np.concatenate([[0.0], np.cumsum(deltas)])
-        suff = np.concatenate([[0.0], np.cumsum(deltas[::-1])])
-        add_hi = max(pref.max(), suff.max())
-        add_lo = min(pref.min(), suff.min())
-        best = max(best, abs(base + add_hi), abs(base + add_lo))
-    return best
+    n, d = points.shape
+    tol = 4.0 * np.finfo(float).eps * float(np.abs(points).sum(axis=1).max())
+    best = 0
+    step = max(1, _BUILD_PAIRS // n)
+    for at in range(0, len(dirs), step):
+        chunk = dirs[at:at + step]
+        along = _project_rows(points, chunk)
+        if d == 2:
+            order = np.argsort(along, axis=1)
+            starts = np.ones(along.shape, dtype=np.intp)
+            starts[:, 1:] = np.diff(np.take_along_axis(along, order, axis=1), axis=1) > tol
+            runs = np.empty_like(starts)
+            np.put_along_axis(runs, order, np.cumsum(starts, axis=1), axis=1)
+            across = _project_rows(points, np.column_stack([-chunk[:, 1], chunk[:, 0]]))
+            for key in (across, -across):
+                best = max(best, int(np.abs(sorted_suffix(runs, units, key)[1]).max()))
+        else:
+            ranked, suffix = sorted_suffix(along, units)
+            edge = np.ones(suffix.shape, dtype=bool)
+            edge[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
+            best = max(best, int(np.abs(suffix[edge]).max()))
+    return best * _MASS_UNIT
 
 
 def _pair_normals_2d(points: np.ndarray) -> np.ndarray:
@@ -296,27 +290,31 @@ def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exac
     """Halfspace metric: sup over directions v and thresholds t of
     |p(v.x >= t) - q(v.x >= t)|.
 
-    ``exact`` mode (d <= 2) enumerates the pair normals of the atom union
-    and resolves boundary ties combinatorially; it returns the true sup.
-    ``sampled`` mode scans a seeded battery of random and atom-anchored
-    directions and is a lower bound on the true sup. Both are <= TV.
+    p and q are merged into one set of distinct atoms with signed
+    fixed-point masses, so an atom they share is projected once and no
+    threshold splits it from itself; the value is at most TV. ``exact``
+    mode (d <= 2) takes the line at d = 1 and the pair normals of the
+    union plus the axes at d = 2, where every cut of the boundary line by
+    a pivot is scored too; it returns the true sup. ``sampled`` mode takes
+    a seeded battery of random and atom-anchored directions and is a lower
+    bound on the true sup.
     """
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    d = p.dim
+    points, units = _signed_union(p, q)
+    n, d = points.shape
     if mode == "exact":
         if d > 2:
             raise ValueError("exact mode supports d <= 2; use mode='sampled'")
         if d == 1:
-            return _scan_direction(np.array([1.0]), p, q, boundary_adjust=False)
-        union = np.vstack([p.points, q.points])
-        dirs = np.vstack([_pair_normals_2d(union), np.eye(2)])
-        return max(_scan_direction(v, p, q, boundary_adjust=True) for v in dirs)
-    if mode != "sampled":
+            dirs = np.array([[1.0]])
+        else:
+            guard_resident("halfspace metric", n, n * n, 16 * n * n)
+            dirs = np.vstack([_pair_normals_2d(points), np.eye(2)])
+    elif mode == "sampled":
+        dirs = direction_battery(np.vstack([p.points, q.points]), budget, make_rng(rng),
+                                 anchor="difference")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    union = np.vstack([p.points, q.points])
-    dirs = direction_battery(union, budget, make_rng(rng), anchor="difference")
-    return max(_scan_direction(v, p, q, boundary_adjust=(d == 2)) for v in dirs)
+    return _max_signed_tail(points, units, dirs)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from .rng import RngLike, make_rng
 
 WEIGHT_TOL = 1e-9
-UNIT_TOL = 1e-12
 
 GAUSSIAN = "gaussian_isotropic"
 UNIFORM_BALL = "uniform_ball"

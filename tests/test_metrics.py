@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import halfspace as hs
 from halfspace import depth
@@ -210,16 +211,151 @@ class TestDistances:
 
     def test_metric_below_tv_and_triangle(self):
         rng = hs.make_rng(17)
-        for _ in range(60):
+        for k in range(120):
             d = int(rng.integers(1, 3))
-            trio = [WeightedPointSet.from_points(rng.standard_normal((int(rng.integers(2, 8)), d)))
-                    for _ in range(3)]
+            if k % 2:
+                trio = [WeightedPointSet.from_points(rng.standard_normal((int(rng.integers(2, 8)), d)))
+                        for _ in range(3)]
+            else:
+                # atoms drawn from one shared pool, with generic weights
+                pool = rng.standard_normal((4, d))
+                trio = []
+                for _ in range(3):
+                    w = rng.random(int(rng.integers(1, 6))) + 0.1
+                    trio.append(WeightedPointSet(pool[rng.integers(0, 4, size=len(w))],
+                                                 w / w.sum()))
             m01 = hs.halfspace_metric(trio[0], trio[1])
             m12 = hs.halfspace_metric(trio[1], trio[2])
             m02 = hs.halfspace_metric(trio[0], trio[2])
             assert m01 <= hs.tv_distance(trio[0], trio[1]) + 1e-12
             assert m02 <= m01 + m12 + 1e-10
             assert hs.halfspace_metric(trio[1], trio[0]) == m01
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_shared_atom_is_projected_once(self, mode):
+        # q keeps half of p's atom; projecting p and q apart rounded that
+        # atom to two floats, and a threshold between them read 1.0
+        x = [-0.38312626500769986, 0.9112608549019698]
+        p = WeightedPointSet.delta(x)
+        q = WeightedPointSet(np.array([x, [1.4442989994390623, 0.6660043098063377],
+                                       [0.21925378420038097, 0.9267090914598398],
+                                       [1.0625342393353856, 0.3410358109726957]]),
+                             np.array([0.5, 2 / 7, 1 / 7, 1 / 14]))
+        assert hs.halfspace_metric(p, q, mode=mode) == 0.5 == hs.tv_distance(p, q)
+
+
+def _separable(inside: np.ndarray, outside: np.ndarray) -> bool:
+    """Whether some hyperplane strictly separates two point sets: the LP
+    v.x - t >= 1 on ``inside``, v.x - t <= -1 on ``outside`` (margins of 1
+    by scaling) is feasible."""
+    if not len(inside) or not len(outside):
+        return True
+    # rows of A_ub @ (v, t) <= -1
+    a_ub = np.vstack([np.column_stack([-inside, np.ones(len(inside))]),
+                      np.column_stack([outside, -np.ones(len(outside))])])
+    res = linprog(np.zeros(a_ub.shape[1]), A_ub=a_ub, b_ub=-np.ones(len(a_ub)),
+                  bounds=[(None, None)] * a_ub.shape[1], method="highs")
+    return res.status == 0
+
+
+def lp_reference(p: WeightedPointSet, q: WeightedPointSet) -> float:
+    """Halfspace metric by brute force: the largest |p(S) - q(S)| over the
+    subsets S of the distinct union atoms that a hyperplane strictly
+    separates from the rest (these are exactly the closed-halfspace cuts).
+    Masses are correctly rounded float sums, so dyadic weights are exact."""
+    terms: dict[tuple, list[float]] = {}
+    for pts, sign, w in ((p.points, 1.0, p.weights), (q.points, -1.0, q.weights)):
+        for x, wi in zip(pts.tolist(), w.tolist()):
+            terms.setdefault(tuple(x), []).append(sign * wi)     # -0.0 == 0.0 as a key
+    atoms = np.array(list(terms))
+    values = []
+    for mask in range(1 << len(atoms)):
+        chosen = [(mask >> i) & 1 == 1 for i in range(len(atoms))]
+        mass = math.fsum(t for c, ts in zip(chosen, terms.values()) if c for t in ts)
+        values.append((abs(mass), np.array(chosen)))
+    # the largest value whose subset is separable; the empty set always is
+    for value, chosen in sorted(values, key=lambda vc: -vc[0]):
+        if _separable(atoms[chosen], atoms[~chosen]):
+            return value
+    raise AssertionError("the empty subset is always separable")
+
+
+@st.composite
+def signed_grid_pairs(draw, max_dim=3):
+    """p and q on a small integer grid in R^1..R^max_dim, drawn from one pool of
+    at most 6 atoms (so they share atoms, repeat atoms and hold collinear or
+    coplanar ones; a zero coordinate may be -0.0), with dyadic or generic
+    weights."""
+    d = draw(st.integers(1, max_dim))
+    coord = st.integers(-3, 3).map(float) | st.just(-0.0)
+    pool = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6))
+    dyadic = draw(st.booleans())
+
+    def atom_set() -> WeightedPointSet:
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+        if dyadic:
+            cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=len(picks) - 1,
+                                       max_size=len(picks) - 1)))
+            w = np.diff([0, *cuts, 16]) / 16.0
+        else:
+            w = np.array(draw(st.lists(st.integers(1, 9), min_size=len(picks),
+                                       max_size=len(picks))), dtype=float)
+            w /= w.sum()
+        return WeightedPointSet(np.array([pool[i] for i in picks]), w)
+
+    return atom_set(), atom_set(), dyadic
+
+
+class TestMetricAgainstLpReference:
+    @given(signed_grid_pairs())
+    # (-3, -2), (0, 1) and (1, 2) lie on one line; its anchored normal in the
+    # sampled battery projects (-3, -2) an ulp away from the other two, and
+    # a boundary pass that took exact ties for the whole line read 0.636
+    @example(case=(WeightedPointSet(np.array([[-0.0, -2.0], [1.0, 2.0], [0.0, 1.0]]),
+                                    np.array([4, 4, 3]) / 11),
+                   WeightedPointSet(np.array([[-3.0, -2.0], [1.0, 2.0]]), np.array([7, 12]) / 19),
+                   False))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_equals_reference_and_sampled_stays_below(self, case):
+        p, q, dyadic = case
+        ref = lp_reference(p, q)
+        slack = 0.0 if dyadic else 1e-12
+        if p.dim <= 2:
+            exact = hs.halfspace_metric(p, q)
+            assert exact == ref if dyadic else abs(exact - ref) <= slack
+        assert hs.halfspace_metric(p, q, mode="sampled", budget=64, rng=3) <= ref + slack
+
+    @given(signed_grid_pairs(max_dim=2), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_bits_ignore_atom_order_and_sides(self, case, random):
+        p, q, _ = case
+        shuffled = []
+        for s in (p, q):
+            perm = list(range(s.size))
+            random.shuffle(perm)
+            shuffled.append(WeightedPointSet(s.points[perm], s.weights[perm]))
+        value = hs.halfspace_metric(p, q)
+        assert hs.halfspace_metric(*shuffled) == value
+        assert hs.halfspace_metric(q, p) == value
+        assert hs.halfspace_metric(shuffled[1], shuffled[0]) == value
+
+
+class TestMetricMemoryGuard:
+    def test_cap_is_the_pair_differences(self, monkeypatch):
+        # exact planar mode builds the (N^2, 2) float pair differences of the
+        # N distinct union atoms
+        rng = hs.make_rng(5)
+        p = WeightedPointSet.from_points(rng.standard_normal((6, 2)))
+        q = WeightedPointSet.from_points(np.vstack([p.points[:2], rng.standard_normal((3, 2))]))
+        n = 9
+        resident = 16 * n * n
+        value = hs.halfspace_metric(p, q)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
+        with pytest.raises(ConfigError, match=f"halfspace metric needs {resident} bytes for "
+                                              f"n={n} atoms and c={n * n} directions"):
+            hs.halfspace_metric(p, q)
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
+        assert hs.halfspace_metric(p, q) == value
 
 
 class TestBiasBounds:
