@@ -44,6 +44,7 @@ _SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
 _LOOP_KEYS = 128              # more keys per row than this: search row by row
 _MASS_UNIT = 2.0 ** -60       # fixed-point unit of every sorted-projection mass
 _SORT_QUERIES = 8             # a block that this many live queries reach is sorted
+_NO_UNITS = np.iinfo(np.int64).max   # the units of a mass that is not known
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,115 +176,224 @@ def _null_normals(vectors: np.ndarray, d: int) -> list[np.ndarray]:
 
 
 def _orth_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to unit vector v,
-    as a (d, d-1) matrix of column vectors."""
-    _, _, vh = np.linalg.svd(v[None, :], full_matrices=True)
-    return vh[1:].T
+    """Orthonormal bases of the hyperplanes orthogonal to the unit rows of
+    ``v`` (b, d), as (b, d, d - 1) stacks of column vectors."""
+    return np.linalg.svd(v[:, None, :], full_matrices=True)[2][:, 1:].swapaxes(1, 2)
 
 
-def _candidate_normals(off: np.ndarray, d: int) -> list[np.ndarray]:
-    n = off.shape[0]
-    subset_size = min(d - 1, n)
-    seen: set[tuple] = set()
-    out: list[np.ndarray] = []
-
-    def push(v: np.ndarray):
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            return
-        v = v / norm
-        lead = np.flatnonzero(np.abs(v) > 1e-9)
-        if lead.size and v[lead[0]] < 0:
-            v = -v
-        key = tuple(np.round(v, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-
-    for i in range(d):
-        push(np.eye(d)[i])
-    for subset in combinations(range(n), subset_size):
-        rows = off[list(subset)]
-        if d == 2 and rows.shape[0] == 1:
-            push(np.array([-rows[0, 1], rows[0, 0]]))
-            continue
-        if d == 3 and rows.shape[0] == 2:
-            cross = np.cross(rows[0], rows[1])
-            if np.linalg.norm(cross) > 1e-9 * np.linalg.norm(rows[0]) * np.linalg.norm(rows[1]):
-                push(cross)
-                continue
-        for v in _null_normals(rows, d):
-            push(v)
-    return out
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v`` (..., d), with the bits of
+    ``np.linalg.norm`` of that row alone (a dot product, not a reduction)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _min_closed_mass(offsets: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Infimum over nonzero directions u of ``sum(w_i for u.o_i >= 0)``.
+def _rank(off: np.ndarray, btol: float) -> int:
+    """Rank of the rows of ``off`` (n, d) at tolerance ``btol``, at least 1:
+    along a right singular vector whose singular value is at most btol,
+    every row is within btol of the hyperplane it is normal to, so on its
+    boundary."""
+    return max(1, int(np.sum(np.linalg.svd(off, compute_uv=False) > btol)))
+
+
+def _level_normals(off: np.ndarray, btol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate normals of one level of full rank d, n >= d: the axes,
+    then the normals of the (d - 1)-subsets of ``off`` (n, d) in
+    ``combinations`` order (a perpendicular at d = 2, a cross product at
+    d = 3 unless it is degenerate, else the null vector of the subset's
+    SVD), a degenerate subset giving the :func:`_null_normals` of its span.
+    Each is scaled to unit length and signed so that its first coordinate
+    above 1e-9 in size is positive; of the normals equal to 12 decimals
+    the first is kept.
+
+    Also returns, per normal, whether its first subset is free: of rank
+    d - 1 with least singular value above ``btol``, and within ``btol`` of
+    the normal's hyperplane. When exactly d - 1 offsets lie there, they are
+    that subset, and a direction in the hyperplane has all of them strictly
+    on one side: the boundary's minimal mass is 0.
+    """
+    n, d = off.shape
+    rows = off[np.array(list(combinations(range(n), d - 1)), dtype=np.intp)]  # (m, d - 1, d)
+    if d == 2:
+        raw = np.column_stack([-rows[:, 0, 1], rows[:, 0, 0]])
+        regular = np.ones(len(raw), dtype=bool)
+        free = _row_norms(rows[:, 0]) > btol
+    elif d == 3:
+        a, b = rows[:, 0], rows[:, 1]
+        raw = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]  # a x b
+        size, size_a, size_b = _row_norms(np.stack([raw, a, b]))
+        regular = size > 1e-9 * size_a * size_b
+        # |a x b| = s_1 s_2 and s_1 <= |(|a|, |b|)|, so this bounds s_2 from below
+        free = regular & (size > btol * np.hypot(size_a, size_b))
+    else:
+        _, s, vh = np.linalg.svd(rows, full_matrices=True)
+        regular = np.sum(s > d * np.finfo(float).eps * s[:, :1], axis=1) == d - 1
+        raw = vh[:, d - 1]
+        free = regular & (s[:, -1] > btol)
+    # rounding can lift an anchor of an ill-conditioned subset off its
+    # normal's boundary, so a free subset must be found on it
+    free &= (np.abs((rows * raw[:, None, :]).sum(axis=2))
+             <= btol * _row_norms(raw)[:, None]).all(axis=1)
+    parts, flags, at = [np.eye(d)], [np.zeros(d, dtype=bool)], 0
+    for j in np.flatnonzero(~regular):
+        extra = np.reshape(_null_normals(rows[j], d), (-1, d))
+        parts += [raw[at:j], extra]
+        flags += [free[at:j], np.zeros(len(extra), dtype=bool)]
+        at = j + 1
+    v = np.concatenate(parts + [raw[at:]])
+    free = np.concatenate(flags + [free[at:]])
+    size = _row_norms(v)
+    keep = size >= 1e-12
+    v, free = v[keep] / size[keep, None], free[keep]
+    lead = np.argmax(np.abs(v) > 1e-9, axis=1)     # a unit vector has one
+    np.negative(v, out=v, where=v[np.arange(len(v)), lead, None] < 0)
+    keys = np.round(v, 12) + 0.0
+    order = np.lexsort(keys.T[::-1])      # stable: the first of equal keys leads its run
+    keys = keys[order]
+    first = np.sort(order[np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))])
+    return v[first], free[first]
+
+
+def _set_values(pts: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Minimal closed masses, in units, of B offset sets at once: ``pts``
+    (B, n, k) and ``units`` (B, n), an atom absent from a set sitting at
+    the origin with no units.
+
+    k = 1: the total less the heavier open ray. k = 2: the least of the
+    total and, over the perpendicular of every offset, the lighter strict
+    side plus the value of the line (k = 1) that is its boundary; a least
+    halfplane turns until its boundary meets an offset. k >= 3: one
+    :func:`_min_closed_mass` per set.
+    """
+    b, n, k = pts.shape
+    if k == 1:
+        rays = [np.einsum("bn,bn->b", side, units) for side in (pts[..., 0] > 0, pts[..., 0] < 0)]
+        return units.sum(axis=1) - np.maximum(*rays)
+    if k > 2:
+        return np.array([_min_closed_mass(x, u)[0] for x, u in zip(pts, units)], dtype=np.int64)
+    norms = _row_norms(pts)
+    # row i: |p_i| times each offset's side of p_i's perpendicular, and along p_i
+    dots = (pts[..., ::-1] * [-1.0, 1.0]) @ pts.transpose(0, 2, 1)
+    tol = 1e-12 * np.maximum(1.0, norms.max(axis=1))[:, None, None] * norms[..., None]
+    above, below = dots > tol, dots < -tol
+    on = ~(above | below) * units[:, None, :]
+    line = _set_values((pts @ pts.transpose(0, 2, 1)).reshape(-1, n, 1), on.reshape(-1, n))
+    strict = np.minimum(np.einsum("bcn,bn->bc", above, units),
+                        np.einsum("bcn,bn->bc", below, units))
+    least = np.where(norms >= 1e-12, strict + line.reshape(b, n), _NO_UNITS).min(axis=1)
+    return np.minimum(units.sum(axis=1), least)
+
+
+def _sides(off: np.ndarray, units: np.ndarray, normals: np.ndarray,
+           btol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``normals`` (c, d): the (c, 2) units of the offsets more
+    than ``btol`` above and below its hyperplane, and the (c,) count of
+    offsets within ``btol`` of it."""
+    dots = _project_rows(off, normals)
+    above, below = dots > btol, dots < -btol
+    sides = np.column_stack([np.einsum("cn,n->c", above, units),
+                             np.einsum("cn,n->c", below, units)])
+    return sides, off.shape[0] - above.sum(axis=1) - below.sum(axis=1)
+
+
+def _boundary_witness(off: np.ndarray, units: np.ndarray, v: np.ndarray,
+                      btol: float) -> tuple[np.ndarray, bool]:
+    """The witness of the minimal closed mass of the offsets on the
+    boundary of normal v, inside its hyperplane, mapped back to ``off``'s
+    space, and whether it is decisive."""
+    on = np.abs(_project_rows(off, v[None, :])[0]) <= btol
+    basis = _orth_basis(v[None, :])[0]
+    _, witness, decisive = _min_closed_mass(off[on] @ basis, units[on])
+    return basis @ witness, decisive
+
+
+def _min_closed_mass(offsets: np.ndarray, units: np.ndarray) -> tuple[int, np.ndarray, bool]:
+    """Infimum over nonzero directions u of the int64 ``units`` of the
+    offsets with ``u.o_i >= 0``.
 
     Returns ``(value, witness, decisive)``. A decisive witness has every
     nonzero offset strictly off its boundary, so the closed mass along it
     reproduces ``value`` exactly; a non-decisive witness only approaches the
     infimum. Offsets equal to zero are counted unconditionally.
 
-    Atoms on a candidate boundary hyperplane are handled by recursion: the
-    mass that survives every infinitesimal rotation is itself the minimal
-    closed mass of the boundary offsets inside the hyperplane, one dimension
-    lower.
+    Offsets whose rank r is below d (at the boundary tolerance) are solved
+    in their span, in r coordinates. At full rank every candidate normal of
+    :func:`_level_normals` is scored at once: the units strictly on each
+    side of every normal are exact integer sums. Atoms on a normal's
+    boundary hyperplane add the mass that survives every infinitesimal
+    rotation: the minimal closed mass of the boundary offsets inside the
+    hyperplane, one dimension lower. It is 0 for a lone offset or a free
+    anchor subset; otherwise :func:`_set_values` finds it, for all such
+    normals at once, only where the lighter strict side can still reach
+    the least value. The winner is the first minimal (normal, side) pair,
+    the positive side first, whose witness is decisive, else the first
+    minimal pair; only those pairs have their witness composed, which for
+    a boundary needs its own witness, one recursion down.
     """
     d = offsets.shape[1]
-    norms = np.linalg.norm(offsets, axis=1)
-    zero_mass = float(weights[norms == 0.0].sum())
-    off = offsets[norms > 0.0]
-    w = weights[norms > 0.0]
-    if off.shape[0] == 0:
-        return zero_mass, np.eye(d)[0], True
+    norms = _row_norms(offsets)
+    zero = int(units[norms == 0.0].sum())
+    off, units = offsets[norms > 0.0], units[norms > 0.0]
+    n = off.shape[0]
+    if n == 0:
+        return zero, np.eye(d)[0], True
     if d == 1:
-        pos = float(w[off[:, 0] > 0].sum())
-        neg = float(w[off[:, 0] < 0].sum())
+        pos, neg = int(units[off[:, 0] > 0].sum()), int(units[off[:, 0] < 0].sum())
         if pos <= neg:
-            return zero_mass + pos, np.array([1.0]), True
-        return zero_mass + neg, np.array([-1.0]), True
+            return zero + pos, np.array([1.0]), True
+        return zero + neg, np.array([-1.0]), True
 
-    scale = float(norms.max())
-    btol = 1e-12 * max(1.0, scale)
-    best_value = math.inf
-    best_witness = np.eye(d)[0]
-    best_decisive = False
-    for v in _candidate_normals(off, d):
-        dots = off @ v
-        boundary = np.abs(dots) <= btol
-        pos = float(w[dots > btol].sum())
-        neg = float(w[dots < -btol].sum())
-        if boundary.any():
-            basis = _orth_basis(v)
-            sub_val, sub_wit, sub_dec = _min_closed_mass(off[boundary] @ basis, w[boundary])
-            u = basis @ sub_wit
-        else:
-            sub_val, u, sub_dec = 0.0, None, True
-        for side_mass, sign in ((pos, 1.0), (neg, -1.0)):
-            value = zero_mass + side_mass + sub_val
-            improves = value < best_value - 1e-15
-            ties = abs(value - best_value) <= 1e-15
-            if not improves and not (ties and not best_decisive):
-                continue
-            if u is None:
-                witness, decisive = sign * v, True
-            else:
-                witness, decisive = _compose_witness(sign * v, u, off, w, zero_mass, value,
-                                                     btol, decisive_hint=sub_dec)
-            if improves or (ties and decisive and not best_decisive):
-                best_value = value
-                best_witness = witness
-                best_decisive = decisive
-    return best_value, best_witness, best_decisive
+    btol = 1e-12 * max(1.0, float(norms.max()))
+    rank = _rank(off, btol)
+    if rank < d:
+        span = np.linalg.svd(off, full_matrices=False)[2][:rank].T
+        value, witness, decisive = _min_closed_mass(off @ span, units)
+        return zero + value, span @ witness, decisive
+    normals, free = _level_normals(off, btol)
+    # a quarter of a construction chunk's pairs at a time: the dots, the
+    # product _project_rows adds to them and two masks take 18 bytes a pair
+    step = max(1, _BUILD_PAIRS // (4 * n))
+    sides, touching = map(np.concatenate, zip(*[_sides(off, units, normals[at:at + step], btol)
+                                                for at in range(0, len(normals), step)]))
+    free = (touching <= 1) | (free & (touching == d - 1))
+    sub = np.where(free, 0, -1)       # boundary values, -1 where not known yet
+    low = zero + sides.min(axis=1)
+    best = low[free].min(initial=_NO_UNITS)
+    # a boundary value is needed only where it can undercut the best, or tie
+    # it ahead of the first minimal pair with no boundary, which is decisive
+    sure = np.flatnonzero((touching == 0) & (low == best))
+    ahead = np.arange(len(normals)) < (sure[0] if sure.size else len(normals))
+    todo = np.flatnonzero(~free & ((low < best) | ((low == best) & ahead)))
+    step = max(1, _BUILD_PAIRS // (4 * n * (n if d == 3 else 1)))   # (n, n) tables a set at d = 3
+    for at in range(0, len(todo), step):
+        rows = todo[at:at + step]
+        on = np.abs(_project_rows(off, normals[rows])) <= btol
+        pts = np.einsum("nd,bdk->bnk", off, _orth_basis(normals[rows])) * on[..., None]
+        sub[rows] = _set_values(pts, units * on)
+    best = min(best, (low + sub)[todo].min(initial=_NO_UNITS))
+    values = np.where(sub[:, None] >= 0, zero + sides + sub[:, None], _NO_UNITS)
+    found, fallback = {}, None
+    for flat in np.flatnonzero(values.ravel() == best):
+        j, sign = flat // 2, 1.0 - 2.0 * (flat % 2)
+        if touching[j] == 0:
+            return best, sign * normals[j], True
+        if j not in found:
+            found[j] = _boundary_witness(off, units, normals[j], btol)
+        u, sub_decisive = found[j]
+        witness, decisive = _compose_witness(sign * normals[j], u, off, units, zero, best,
+                                             btol, sub_decisive)
+        if decisive:
+            return best, witness, True
+        if fallback is None:
+            fallback = witness
+    return best, fallback, False
 
 
-def _compose_witness(v: np.ndarray, u: np.ndarray, off: np.ndarray, w: np.ndarray,
-                     zero_mass: float, target: float, btol: float,
+def _compose_witness(v: np.ndarray, u: np.ndarray, off: np.ndarray, units: np.ndarray,
+                     zero: int, target: int, btol: float,
                      decisive_hint: bool) -> tuple[np.ndarray, bool]:
     """Tilt v slightly toward u so boundary atoms land decisively on the side
     the combinatorial score assigned them, without flipping any strict atom.
-    The tilt is verified against ``target`` (every atom must clear the
+    The tilt is verified against ``target`` units (every atom must clear the
     boundary by more than float noise) and halved until it reproduces it."""
     if not decisive_hint:
         return v, False
@@ -298,8 +408,8 @@ def _compose_witness(v: np.ndarray, u: np.ndarray, off: np.ndarray, w: np.ndarra
         cand = v + delta * u
         cand = cand / np.linalg.norm(cand)
         new_dots = off @ cand
-        mass = zero_mass + float(w[new_dots > 0.0].sum())
-        if abs(mass - target) <= 1e-12 and np.min(np.abs(new_dots)) > floor:
+        if (zero + int(units[new_dots > 0.0].sum()) == target
+                and np.min(np.abs(new_dots)) > floor):
             return cand, True
         delta *= 0.5
     return v, False
@@ -311,26 +421,35 @@ def depth_oracle(p: WeightedPointSet, mu) -> DepthResult:
     Candidate normals are orthogonal to the span of each (d-1)-subset of
     atom offsets (canonical axes serve as fallback for degenerate spans);
     boundary atoms are re-scored recursively, which realizes every mass
-    pattern reachable by infinitesimal rotations of the hyperplane.
+    pattern reachable by infinitesimal rotations of the hyperplane. Masses
+    are exact sums of :func:`mass_units`; the value is the closed mass
+    along a decisive witness, as :func:`_closed_mass` sums it, else the
+    least units as a float.
 
     Raises ``ValueError`` above ``ORACLE_SUBSET_GUARD`` subsets for any
-    level: recursion keeps at most the n atoms off ``mu`` in fewer
-    dimensions, so C(n, min(d - 1, n // 2)) bounds every level's count.
+    level. Every level works in the span of its offsets: with n atoms off
+    ``mu`` spanning rank r, a level has at most n atoms at rank at most r,
+    and its boundary levels fewer of both, so C(n, min(r - 1, n // 2))
+    bounds every level's count.
     """
     mu = as_point(mu)
     if mu.shape[0] != p.dim:
         raise ValueError("query point dimension mismatch")
     merged = p.consolidate()
-    n = int(np.sum(np.linalg.norm(merged.points - mu, axis=1) > 0))
+    offsets = merged.points - mu
+    norms = _row_norms(offsets)
+    n = int(np.count_nonzero(norms))
     k = min(p.dim - 1, n // 2)
     if math.comb(n, k) > ORACLE_SUBSET_GUARD:
-        raise ValueError(f"oracle guard exceeded: C({n}, {k}) > {ORACLE_SUBSET_GUARD}; "
-                         "use depth_sampled")
-    offsets = merged.points - mu
-    value, witness, decisive = _min_closed_mass(offsets, merged.weights)
+        # the count at rank r <= d is no larger: only then is r needed
+        k = min(_rank(offsets[norms > 0], 1e-12 * max(1.0, float(norms.max()))) - 1, n // 2)
+        if math.comb(n, k) > ORACLE_SUBSET_GUARD:
+            raise ValueError(f"oracle guard exceeded: C({n}, {k}) > {ORACLE_SUBSET_GUARD}; "
+                             "use depth_sampled")
+    value, witness, decisive = _min_closed_mass(offsets, mass_units(merged.weights))
     if decisive:
-        value = _closed_mass(offsets, merged.weights, witness)
-    return DepthResult(value, witness, "oracle")
+        return DepthResult(_closed_mass(offsets, merged.weights, witness), witness, "oracle")
+    return DepthResult(value * _MASS_UNIT, witness, "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +563,15 @@ def direction_blocks(c: int):
         size = min(2 * size, _BLOCK_ROWS)
 
 
-def guard_resident(structure: str, n: int, c: int, nbytes: int) -> None:
+def guard_resident(structure: str, n: int, c: int, nbytes: int, remedy: str) -> None:
     """Refuse (``ConfigError``) a ``structure`` over n atoms and c
     directions whose resident arrays would take more than
-    ``_RESIDENT_BYTES_CAP`` bytes."""
+    ``_RESIDENT_BYTES_CAP`` bytes; the message ends with ``remedy``, the
+    caller's way out."""
     if nbytes > _RESIDENT_BYTES_CAP:
         raise ConfigError(
             f"{structure} needs {nbytes} bytes for n={n} atoms and c={c} directions, "
-            f"above the {_RESIDENT_BYTES_CAP}-byte cap; use a lower budget")
+            f"above the {_RESIDENT_BYTES_CAP}-byte cap; {remedy}")
 
 
 def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -579,7 +699,7 @@ class BatteryScorer:
 
     def __init__(self, p: WeightedPointSet, dirs: np.ndarray):
         n, c = p.size, len(dirs)
-        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
+        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1), "use a lower budget")
         self.dirs = dirs
         self._units = mass_units(p.weights)
         self._proj = np.empty((c, n))

@@ -124,7 +124,7 @@ class DecayProfile:
             dirs.append(raw / np.linalg.norm(raw, axis=1)[:, None])
         dirs = np.vstack(dirs)
         n, c = atoms.size, len(dirs)
-        guard_resident("decay profile", n, c, 8 * c * (2 * n + 1))
+        guard_resident("decay profile", n, c, 8 * c * (2 * n + 1), "use a lower budget")
         rows, units = sorted_suffix((offsets @ dirs.T).T, mass_units(atoms.weights))
         suffix = units * _MASS_UNIT
         rows.setflags(write=False)
@@ -307,7 +307,7 @@ def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exac
         if d == 1:
             dirs = np.array([[1.0]])
         else:
-            guard_resident("halfspace metric", n, n * n, 16 * n * n)
+            guard_resident("halfspace metric", n, n * n, 16 * n * n, "use mode='sampled'")
             dirs = np.vstack([_pair_normals_2d(points), np.eye(2)])
     elif mode == "sampled":
         dirs = direction_battery(np.vstack([p.points, q.points]), budget, make_rng(rng),

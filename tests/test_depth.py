@@ -1,10 +1,13 @@
+import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linprog
 
 import halfspace as hs
 from halfspace import depth
@@ -177,16 +180,35 @@ class TestDepthOracle:
             hs.depth_oracle(p, np.zeros(5))
 
     def test_guard_bounds_every_recursion_level(self, monkeypatch):
-        # 8 atoms on a plane through the query in R^7: C(8, 6) = 28 subsets
-        # at the top, but the boundary recursion one dimension down needs
+        # 8 atoms spanning R^7 around the query: C(8, 6) = 28 subsets at the
+        # top, but the boundary recursion one dimension down needs
         # C(8, 5) = 56 and the next C(8, 4) = 70, so the guard must refuse
         # before enumerating anything
         monkeypatch.setattr(depth, "ORACLE_SUBSET_GUARD", 30)
         monkeypatch.setattr(depth, "_min_closed_mass", lambda *a: pytest.fail("enumerated"))
-        rng = hs.make_rng(0)
-        p = uniform(rng.standard_normal((8, 2)) @ rng.standard_normal((2, 7)))
+        p = uniform(hs.make_rng(0).standard_normal((8, 7)))
         with pytest.raises(ValueError, match=r"C\(8, 4\) > 30; use depth_sampled"):
             hs.depth_oracle(p, np.zeros(7))
+
+    def test_enumerates_in_the_span_of_the_offsets(self, monkeypatch):
+        # 8 atoms on a plane through the query in R^7: every level works at
+        # rank 2, so the guard counts C(8, 1) = 8 subsets, no level
+        # enumerates more, and the value is the depth in the plane
+        monkeypatch.setattr(depth, "ORACLE_SUBSET_GUARD", 8)
+        counts = []
+
+        def counting(pool, k):
+            subsets = list(combinations(pool, k))
+            counts.append(len(subsets))
+            return subsets
+
+        monkeypatch.setattr(depth, "combinations", counting)
+        rng = hs.make_rng(0)
+        plane = rng.standard_normal((8, 2))
+        p = uniform(plane @ rng.standard_normal((2, 7)))
+        assert hs.depth_oracle(p, np.zeros(7)).value \
+            == hs.depth_2d_sweep(uniform(plane), np.zeros(2)).value
+        assert 0 < max(counts) <= 8
 
     def test_atom_at_query_always_counts(self):
         p = uniform([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]])
@@ -203,6 +225,72 @@ class TestDepthOracle:
         p = uniform(np.vstack([np.eye(3), -np.eye(3)]))
         assert hs.depth_oracle(p, np.zeros(3)).value == pytest.approx(0.5, abs=1e-15)
         assert hs.depth_oracle(p, [1.0, 0.0, 0.0]).value == pytest.approx(1 / 6, abs=1e-15)
+
+
+def _open_side(offsets: np.ndarray) -> bool:
+    """Whether some direction u has u.o < 0 for every row o of ``offsets``:
+    the LP u.o <= -1 (a margin of 1 by scaling) is feasible."""
+    if not len(offsets):
+        return True
+    d = offsets.shape[1]
+    res = linprog(np.zeros(d), A_ub=offsets, b_ub=-np.ones(len(offsets)),
+                  bounds=[(None, None)] * d, method="highs")
+    return res.status == 0
+
+
+def lp_depth(p: WeightedPointSet, mu: np.ndarray) -> float:
+    """Tukey depth by brute force: the total less the largest mass of a set
+    T of nonzero offsets that some direction puts strictly below 0 (the
+    closed halfspace is the rest). Duplicate offsets are merged and masses
+    are correctly rounded float sums, so dyadic weights are exact."""
+    masses: dict[tuple, list[float]] = {}
+    for o, w in zip((p.points - mu).tolist(), p.weights.tolist()):
+        masses.setdefault(tuple(o), []).append(w)     # -0.0 == 0.0 as a key
+    atoms = [o for o in masses if any(o)]
+    subsets = []
+    for mask in range(1 << len(atoms)):
+        chosen = [o for i, o in enumerate(atoms) if (mask >> i) & 1]
+        subsets.append((math.fsum(w for o in chosen for w in masses[o]), chosen))
+    # the largest mass on an open side; the empty set always is
+    for mass, chosen in sorted(subsets, key=lambda mc: -mc[0]):
+        if _open_side(np.array(chosen)):
+            return math.fsum(p.weights) - mass
+    raise AssertionError("the empty set is always on an open side")
+
+
+@st.composite
+def lattice_cases(draw):
+    """At most 6 atoms on an integer lattice of rank r in R^d, d = 1..4
+    (so duplicates, collinear and coplanar sets), with -0.0 coordinates
+    and dyadic weights, and three queries: an atom, the midpoint of two
+    atoms and a half-integer point."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, d))
+    basis = np.array(draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
+                                   min_size=r, max_size=r)), dtype=float)
+    coords = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=6))
+    pts = np.array(coords, dtype=float) @ basis
+    signs = np.array(draw(st.lists(st.booleans(), min_size=pts.size, max_size=pts.size)))
+    pts[(pts == 0.0) & signs.reshape(pts.shape)] = -0.0
+    n = len(pts)
+    cuts = sorted(draw(st.sets(st.integers(1, 15), min_size=n - 1, max_size=n - 1)))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    half = 0.5 * np.array(draw(st.tuples(*[st.integers(-4, 4)] * d)), dtype=float)
+    queries = np.vstack([pts[i], 0.5 * (pts[i] + pts[j]), half])
+    return WeightedPointSet(pts, np.diff([0, *cuts, 16]) / 16.0), queries
+
+
+class TestEnginesAgainstLpReference:
+    @given(lattice_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_engines_equal_it_and_sampled_bounds_it(self, case):
+        p, queries = case
+        for q in queries:
+            want = lp_depth(p, q)
+            assert hs.depth_oracle(p, q).value == want
+            if p.dim == 2:
+                assert hs.depth_2d_sweep(p, q).value == want
+            assert hs.depth_sampled(p, q, budget=64, rng=0).value >= want
 
 
 class TestDepthSampled:

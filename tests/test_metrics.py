@@ -357,6 +357,15 @@ class TestMetricMemoryGuard:
         monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
         assert hs.halfspace_metric(p, q) == value
 
+    def test_refusal_names_sampled_mode(self, monkeypatch):
+        # exact mode takes no budget: the way out is the sampled mode
+        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 0)
+        p = WeightedPointSet.from_points([[0.0, 0.0], [1.0, 0.0]])
+        q = WeightedPointSet.from_points([[0.0, 1.0]])
+        with pytest.raises(ConfigError, match=r"byte cap; use mode='sampled'$"):
+            hs.halfspace_metric(p, q)
+        assert hs.halfspace_metric(p, q, mode="sampled", budget=16, rng=0) <= 1.0
+
 
 class TestBiasBounds:
     def test_no_corruption_gaussian(self):
