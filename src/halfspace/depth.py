@@ -6,8 +6,8 @@ the infimum over directions ``v`` of the closed-halfspace mass
 
 * :func:`depth_1d` -- exact, d = 1 (two directions suffice);
 * :func:`depth_2d_sweep` / :func:`depth_2d_sweep_many` -- exact, d = 2, by
-  angular sweep in O(n log n) time and O(n) memory per query (queries are
-  processed in blocks);
+  angular sweep over half a turn in O(n log n) time and O(n) memory per
+  query (queries are processed in blocks);
 * :func:`depth_oracle` -- exact for atomic distributions in any small
   dimension, by enumerating candidate normals anchored at atom subsets and
   resolving atoms on the boundary hyperplane combinatorially (re-scoring
@@ -16,7 +16,9 @@ the infimum over directions ``v`` of the closed-halfspace mass
   seeded direction battery, which always contains atom-anchored normals.
 
 Atoms coincident with ``mu`` lie on every boundary hyperplane and are always
-counted; they can never be rotated off.
+counted; they can never be rotated off. Every engine reports an int64 sum
+of :func:`mass_units`, converted to float once, so the exact engines agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -60,12 +62,6 @@ class DepthResult:
         return {"value": self.value, "witness": self.witness.tolist(), "engine": self.engine}
 
 
-def _closed_mass(offsets: np.ndarray, weights: np.ndarray, v: np.ndarray) -> float:
-    # Canonical evaluation shared by every exact engine so that equal index
-    # subsets produce bitwise-equal sums.
-    return float(weights[offsets @ v >= 0.0].sum())
-
-
 def depth_1d(p: WeightedPointSet, mu) -> DepthResult:
     """Exact depth on the line: the closed mass of the lighter side, as
     :func:`depth_oracle` computes it (on the merged set, the side with the
@@ -86,25 +82,24 @@ def depth_2d_sweep(p: WeightedPointSet, mu) -> DepthResult:
 
 
 def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Exact planar depth of each row of ``queries`` (m, 2), by angular sweep
-    (Rousseeuw & Ruts, AS 307). Returns ``(values, witnesses)``.
+    """Exact planar depth ``(values, witnesses)`` of each row of ``queries``
+    (m, 2), by angular sweep (Rousseeuw & Ruts, AS 307) over half a turn.
 
-    As the direction angle sweeps the circle, an atom at angle ``theta``
-    from the query enters the open halfplane at ``theta - pi/2`` and leaves
-    it at ``theta + pi/2``. The closed mass at one of these critical angles
-    is never below its neighborhood (the boundary atom is counted on both
-    sides), so the infimum is the smallest open-sector mass. After one sort
-    of the critical angles, a cumulative sum of the signed weights gives
-    every sector's mass up to one constant per query, which is all the
-    argmin needs. Sectors no wider than ``_SECTOR_MIN`` are rounding
-    artefacts of coincident critical angles and never win. Atoms at the
-    query bound no sector and are always counted. The witness is the
-    midpoint of the winning sector, and the value is the closed mass along
-    it, summed as :func:`_closed_mass` sums it over the merged set (duplicate
-    atoms are merged once per call, as :func:`depth_oracle` merges them), so
-    a row's bits do not depend on the batch. Costs O(n log n) time and O(n)
-    memory per query; queries are processed in blocks of about
-    ``_SWEEP_BLOCK`` critical angles.
+    An atom at angle ``theta`` from the query is in the open halfplane of
+    the directions from ``e = theta - pi/2`` (mod 2 pi) to half a turn
+    later. A closed mass at a critical angle is never below its
+    neighborhood, so the infimum is the least open-sector mass. A sector
+    and its antipode split the W units off the query as M and W - M, so
+    half a turn [0, pi) holds every pair: an atom enters there at e < pi,
+    or is open at 0+ and leaves at ``e - pi`` (exact by Sterbenz). One sort
+    of these n angles and an int64 cumsum of signed :func:`mass_units` give
+    every sector's M; the value is the least ``min(M, W - M)``, plus the
+    units at the query, as a float: the integer :func:`depth_oracle` finds.
+    Sectors no wider than ``_SECTOR_MIN`` are rounding artefacts and never
+    win. The witness is the winning sector's midpoint, turned by pi when
+    W - M is the smaller side. Duplicate atoms are merged, and a row's bits
+    do not depend on the batch. O(n log n) time and O(n) memory per query,
+    in blocks of about ``_SWEEP_BLOCK`` angles.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if p.dim != 2 or queries.shape[1] != 2:
@@ -112,36 +107,42 @@ def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.nd
     if not np.all(np.isfinite(queries)):
         raise ValueError("point coordinates must be finite")
     p = p.consolidate()
-    values = np.empty(queries.shape[0])
-    witnesses = np.empty((queries.shape[0], 2))
-    rows = max(1, _SWEEP_BLOCK // (2 * p.size))
+    n, units = p.size, mass_units(p.weights)
+    values, witnesses = np.empty(queries.shape[0]), np.empty((queries.shape[0], 2))
+    rows = max(1, _SWEEP_BLOCK // n)
     for start in range(0, queries.shape[0], rows):
         block = queries[start:start + rows]
+        flat = n * np.arange(len(block))        # each row's offset in a flat block
         ox = p.points[:, 0] - block[:, :1]
         oy = p.points[:, 1] - block[:, 1:]
-        at_query = (ox == 0.0) & (oy == 0.0)
-        theta = np.arctan2(oy, ox)
-        # an atom at the query repeats the critical angles of the row's
-        # first other atom, with no weight: it only adds empty sectors
-        other = np.argmax(~at_query, axis=1)[:, None]
-        theta = np.where(at_query, np.take_along_axis(theta, other, axis=1), theta)
-        w = np.where(at_query, 0.0, p.weights)
-        leave = (theta + 0.5 * np.pi) % (2.0 * np.pi)
-        enter = (theta - 0.5 * np.pi) % (2.0 * np.pi)
-        crit = np.concatenate([leave, enter], axis=1)
-        order = np.argsort(crit, axis=1)
-        crit = np.take_along_axis(crit, order, axis=1)
-        signed = np.take_along_axis(np.concatenate([-w, w], axis=1), order, axis=1)
-        mass = np.cumsum(signed, axis=1)
-        ends = np.concatenate([crit[:, 1:], crit[:, :1] + 2.0 * np.pi], axis=1)
-        mass[ends - crit <= _SECTOR_MIN] = math.inf
-        best = np.argmin(mass, axis=1)[:, None]
-        mids = 0.5 * (np.take_along_axis(crit, best, axis=1)
-                      + np.take_along_axis(ends, best, axis=1))[:, 0]
-        dirs = np.column_stack([np.cos(mids), np.sin(mids)])
-        witnesses[start:start + len(block)] = dirs
-        values[start:start + len(block)] = [_closed_mass(p.points - q, p.weights, v)
-                                            for q, v in zip(block, dirs)]
+        crit = np.arctan2(oy, ox)
+        # merged atoms are distinct, so at most one sits at a query: with the
+        # angle of the atom before it and no units, it adds an empty sector
+        at = np.argmax((ox == 0.0) & (oy == 0.0), axis=1) + flat
+        hit = (ox.flat[at] == 0.0) & (oy.flat[at] == 0.0)
+        at_query = np.where(hit, units[at - flat], 0)
+        at = at[hit]
+        crit.flat[at] = crit.flat[at - 1 + n * (at % n == 0)]
+        crit -= 0.5 * np.pi
+        np.add(crit, 2.0 * np.pi, out=crit, where=crit < 0.0)   # the bits of % 2 pi here
+        leaves = crit >= np.pi
+        np.subtract(crit, np.pi, out=crit, where=leaves)
+        signed = np.where(leaves, -units, units)
+        signed.flat[at] = 0
+        total = (units.sum() - at_query)[:, None]
+        order = np.argsort(crit, axis=1) + flat[:, None]
+        crit = crit.take(order)
+        open_mass = np.cumsum(signed.take(order), axis=1)
+        # the last sum is the total less twice the units open at 0+
+        open_mass += (total - open_mass[:, -1:]) // 2
+        least = np.minimum(open_mass, total - open_mass)
+        ends = np.concatenate([crit[:, 1:], crit[:, :1] + np.pi], axis=1)
+        least[ends - crit <= _SECTOR_MIN] = _NO_UNITS
+        best = np.argmin(least, axis=1) + flat
+        turn = least.flat[best] < open_mass.flat[best]          # W - M is the smaller side
+        mids = 0.5 * (crit.flat[best] + ends.flat[best]) + np.pi * turn
+        witnesses[start:start + len(block)] = np.column_stack([np.cos(mids), np.sin(mids)])
+        values[start:start + len(block)] = (least.flat[best] + at_query) * _MASS_UNIT
     return values, witnesses
 
 
@@ -422,9 +423,9 @@ def depth_oracle(p: WeightedPointSet, mu) -> DepthResult:
     atom offsets (canonical axes serve as fallback for degenerate spans);
     boundary atoms are re-scored recursively, which realizes every mass
     pattern reachable by infinitesimal rotations of the hyperplane. Masses
-    are exact sums of :func:`mass_units`; the value is the closed mass
-    along a decisive witness, as :func:`_closed_mass` sums it, else the
-    least units as a float.
+    are exact sums of :func:`mass_units`, and the value is the least units
+    converted to float once, so every exact engine that finds the same
+    integer returns the same bits, whatever the weights.
 
     Raises ``ValueError`` above ``ORACLE_SUBSET_GUARD`` subsets for any
     level. Every level works in the span of its offsets: with n atoms off
@@ -446,10 +447,8 @@ def depth_oracle(p: WeightedPointSet, mu) -> DepthResult:
         if math.comb(n, k) > ORACLE_SUBSET_GUARD:
             raise ValueError(f"oracle guard exceeded: C({n}, {k}) > {ORACLE_SUBSET_GUARD}; "
                              "use depth_sampled")
-    value, witness, decisive = _min_closed_mass(offsets, mass_units(merged.weights))
-    if decisive:
-        return DepthResult(_closed_mass(offsets, merged.weights, witness), witness, "oracle")
-    return DepthResult(value * _MASS_UNIT, witness, "oracle")
+    value, witness, _ = _min_closed_mass(offsets, mass_units(merged.weights))
+    return DepthResult(float(value * _MASS_UNIT), witness, "oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,8 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
         if masses[i] < best_value:
             best_value = float(masses[i])
             best_v = chunk[i]
-    return DepthResult(_closed_mass(offsets, p.weights, best_v), best_v, "sampled")
+    closed = mass_units(p.weights)[offsets @ best_v >= 0.0].sum()
+    return DepthResult(float(closed * _MASS_UNIT), best_v, "sampled")
 
 
 def direction_blocks(c: int):

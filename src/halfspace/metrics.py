@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, ndtr, ndtri
 
 from .depth import (_BUILD_PAIRS, _MASS_UNIT, _project_rows, direction_battery, guard_resident,
                     mass_units, sorted_suffix)
@@ -28,6 +27,10 @@ _INVERSE_TOL = 1e-10    # bisection width of numeric generalized inverses
 
 def normal_cdf(x):
     """Standard normal CDF in float64 (scipy's ``ndtr``); a float for scalars."""
+    # scipy.special is imported where it is used: at module level it adds
+    # about 0.3 s and 20 MB to every import of the package
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
@@ -41,11 +44,15 @@ def normal_quantile(y: float) -> float:
     """Inverse standard normal CDF (scipy's ``ndtri``)."""
     if not 0.0 < y < 1.0:
         raise ValueError("quantile needs y strictly inside (0, 1)")
+    from scipy.special import ndtri   # imported here, as in normal_cdf
+
     return float(ndtri(y))
 
 
 def _ball_tail(t, radius: float, dim: int):
     """One-sided projection tail P(v.X > t) for the uniform ball, any unit v."""
+    from scipy.special import betainc   # imported here, as in normal_cdf
+
     t = np.asarray(t, dtype=float)
     u = np.clip(t / radius, 0.0, 1.0)
     out = np.where(t >= radius, 0.0, 0.5 * (1.0 - betainc(0.5, 0.5 * (dim + 1), u * u)))

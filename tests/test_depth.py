@@ -26,17 +26,20 @@ SQUARE_2D = uniform([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 @st.composite
 def grid_cases(draw, d=2):
     """Small integer-grid atom sets in R^d (duplicates, collinear atoms,
-    -0.0 coordinates), uniform or generic weights, and queries on and off
+    -0.0 coordinates), uniform, integer-ratio (1/3, 1/7, ...) or random
+    float weights, none of them dyadic in general, and queries on and off
     atoms."""
     n = draw(st.integers(1, 10))
     cells = st.tuples(*[st.integers(-3, 3)] * d)
     pts = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
     signs = np.array(draw(st.lists(st.booleans(), min_size=d * n, max_size=d * n)))
     pts[(pts == 0.0) & signs.reshape(n, d)] = -0.0
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["uniform", "integers", "floats"]))
+    if kind == "uniform":
         w = np.full(n, 1.0 / n)
     else:
-        w = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=float)
+        parts = st.integers(1, 7) if kind == "integers" else st.floats(0.01, 1.0)
+        w = np.array(draw(st.lists(parts, min_size=n, max_size=n)), dtype=float)
         w /= w.sum()
     on = draw(st.lists(st.integers(0, n - 1), max_size=4))
     off = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * d), min_size=1, max_size=4))
@@ -93,22 +96,29 @@ class TestDepth2dSweepMany:
             assert one.witness.tobytes() == witness.tobytes()
 
     @given(grid_cases())
-    @settings(max_examples=150, deadline=None)
+    @example(case=(WeightedPointSet([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [-1.0, -1.0],
+                                     [1.0, -1.0], [1.0, 1.0]],
+                                    np.array([1, 1, 1, 1, 1, 2]) / 7.0),
+                   np.array([[0.0, 0.0], [-0.0, 0.5], [1.0, 1.0]])))
+    @settings(max_examples=300, deadline=None)
     def test_equals_oracle(self, case):
-        # Both engines merge duplicate atoms before summing. Equal merged
-        # weights make every closed mass of k atoms the same float, so the
-        # two agree bit for bit even where they pick different halfplanes of
-        # the minimal mass; two such halfplanes holding different atoms can
-        # otherwise differ in the last bit.
+        # Both engines merge duplicate atoms and find the same least integer
+        # sum of mass_units, converted to float once, so they agree bit for
+        # bit for any weights, even where they pick different halfplanes of
+        # the minimal mass. The example puts atoms at the query and
+        # collinear with it on both sides, with a duplicate, at weights of
+        # sevenths. Each row's value and witness alone are the row's bits in
+        # the batch, and the witness's closed mass is the value.
         p, queries = case
         merged = p.consolidate()
-        uniform_weights = bool(np.all(merged.weights == merged.weights[0]))
-        values = hs.depth_2d_sweep_many(p, queries)[0]
-        for q, value in zip(queries, values):
-            want = hs.depth_oracle(p, q).value
-            if uniform_weights:
-                assert value == want
-            assert value == pytest.approx(want, abs=1e-12)
+        units = mass_units(merged.weights)
+        values, witnesses = hs.depth_2d_sweep_many(p, queries)
+        for q, value, witness in zip(queries, values, witnesses):
+            assert value == hs.depth_oracle(p, q).value
+            one = hs.depth_2d_sweep(p, q)
+            assert np.float64(one.value).tobytes() == value.tobytes()
+            assert one.witness.tobytes() == witness.tobytes()
+            assert units[(merged.points - q) @ witness >= 0.0].sum() * 2.0 ** -60 == value
 
     @given(grid_cases())
     @settings(max_examples=150, deadline=None)
@@ -338,8 +348,15 @@ class TestEngineAgreement:
             w = rng.random(n)
             p = WeightedPointSet(rng.standard_normal((n, 2)), w / w.sum())
             mu = rng.standard_normal(2)
-            assert hs.depth_2d_sweep(p, mu).value == pytest.approx(
-                hs.depth_oracle(p, mu).value, abs=1e-12)
+            assert hs.depth_2d_sweep(p, mu).value == hs.depth_oracle(p, mu).value
+
+    @pytest.mark.parametrize("engine, d", [("exact1d", 1), ("sweep2d", 2), ("oracle", 2),
+                                           ("oracle", 3), ("sampled", 3)])
+    def test_values_are_python_floats(self, engine, d):
+        # a numpy scalar would reach a CSV row as its repr, np.float64(...)
+        p = WeightedPointSet(hs.make_rng(d).standard_normal((7, d)), np.arange(1, 8) / 28.0)
+        for mu in (np.zeros(d), p.points[0]):
+            assert type(hs.compute_depth(p, mu, engine=engine).value) is float
 
     def test_exact1d_equals_oracle(self):
         rng = hs.make_rng(3)
@@ -405,7 +422,9 @@ class TestEnginePolicy:
         mu = 0.1 * rng.standard_normal(3)
         res = hs.compute_depth(p, mu)
         assert res.engine == "oracle"
-        assert res.value == hs.depth_oracle(p, mu).value == 0.36923076923076925
+        # 24 of the 65 atoms, in mass_units
+        assert res.value == hs.depth_oracle(p, mu).value \
+            == 24 * mass_units(p.weights[:1])[0] * 2.0 ** -60
 
 
 class TestDepthProperties:

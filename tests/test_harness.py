@@ -323,8 +323,8 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 2 and payload["meta"]["kind"] == "breakdown"
 
-    @pytest.mark.parametrize("name", ["gaussian_adaptive.json", "gaussian_projection.json",
-                                      "square_projection.json"])
+    @pytest.mark.parametrize("name", ["gaussian_adaptive.json", "gaussian_planar.json",
+                                      "gaussian_projection.json", "square_projection.json"])
     def test_shipped_configs_load_and_run(self, name, tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / name
         cfg = ExperimentConfig.from_json(path.read_text())

@@ -1,5 +1,8 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -493,6 +496,24 @@ class TestProjectEstimate:
                                   starts=2, budget=512, steps=32, rng=0)
         assert np.array_equal(res.mu_hat, np.zeros(3))
         assert res.objective == 0.0
+
+    def test_discrete_template_path_leaves_scipy_special_unloaded(self):
+        # nothing a square-template estimate or an exact depth runs needs
+        # scipy.special, which metrics imports only where it is used
+        script = """if True:
+            import sys
+            import numpy as np
+            import halfspace as hs
+            p = hs.apex_move(hs.square_distribution().atoms_absolute(), 0.3, 50.0)
+            hs.project_estimate(p, hs.square_template_family(), starts=2, budget=64, steps=8)
+            hs.depth_oracle(p, np.zeros(3))
+            hs.depth_2d_sweep(hs.WeightedPointSet.from_points(p.points[:, :2]), [0.1, 0.2])
+            print("scipy.special" in sys.modules)
+        """
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hs.__file__)))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_apex_corruption_stays_bounded(self):
         fam = hs.square_template_family()
