@@ -7,7 +7,8 @@ the infimum over directions ``v`` of the closed-halfspace mass
 * :func:`depth_1d` -- exact, d = 1 (two directions suffice);
 * :func:`depth_2d_sweep` / :func:`depth_2d_sweep_many` -- exact, d = 2, by
   angular sweep over half a turn in O(n log n) time and O(n) memory per
-  query (queries are processed in blocks);
+  query (queries are processed in blocks); the same sweep about every atom
+  gives the exact planar halfspace metric;
 * :func:`depth_oracle` -- exact for atomic distributions in any small
   dimension, by enumerating candidate normals anchored at atom subsets and
   resolving atoms on the boundary hyperplane combinatorially (re-scoring
@@ -83,23 +84,14 @@ def depth_2d_sweep(p: WeightedPointSet, mu) -> DepthResult:
 
 def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.ndarray]:
     """Exact planar depth ``(values, witnesses)`` of each row of ``queries``
-    (m, 2), by angular sweep (Rousseeuw & Ruts, AS 307) over half a turn.
+    (m, 2), by :func:`_half_turn_sweep` (Rousseeuw & Ruts, AS 307).
 
-    An atom at angle ``theta`` from the query is in the open halfplane of
-    the directions from ``e = theta - pi/2`` (mod 2 pi) to half a turn
-    later. A closed mass at a critical angle is never below its
-    neighborhood, so the infimum is the least open-sector mass. A sector
-    and its antipode split the W units off the query as M and W - M, so
-    half a turn [0, pi) holds every pair: an atom enters there at e < pi,
-    or is open at 0+ and leaves at ``e - pi`` (exact by Sterbenz). One sort
-    of these n angles and an int64 cumsum of signed :func:`mass_units` give
-    every sector's M; the value is the least ``min(M, W - M)``, plus the
+    A closed mass at a critical angle is never below its neighborhood, so
+    the value is the least ``min(M, W - M)`` over the live sectors, plus the
     units at the query, as a float: the integer :func:`depth_oracle` finds.
-    Sectors no wider than ``_SECTOR_MIN`` are rounding artefacts and never
-    win. The witness is the winning sector's midpoint, turned by pi when
-    W - M is the smaller side. Duplicate atoms are merged, and a row's bits
-    do not depend on the batch. O(n log n) time and O(n) memory per query,
-    in blocks of about ``_SWEEP_BLOCK`` angles.
+    The witness is the winning sector's midpoint, turned by pi when W - M
+    is the smaller side. Duplicate atoms are merged, and a row's bits do
+    not depend on the batch. O(n log n) time and O(n) memory per query.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if p.dim != 2 or queries.shape[1] != 2:
@@ -107,16 +99,45 @@ def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.nd
     if not np.all(np.isfinite(queries)):
         raise ValueError("point coordinates must be finite")
     p = p.consolidate()
-    n, units = p.size, mass_units(p.weights)
     values, witnesses = np.empty(queries.shape[0]), np.empty((queries.shape[0], 2))
+    for rows, crit, ends, open_mass, total, at_query in _half_turn_sweep(
+            p.points, mass_units(p.weights), queries):
+        least = np.minimum(open_mass, total - open_mass)
+        least[ends - crit <= _SECTOR_MIN] = _NO_UNITS
+        best = np.argmin(least, axis=1) + p.size * np.arange(len(least))
+        turn = least.flat[best] < open_mass.flat[best]          # W - M is the smaller side
+        mids = 0.5 * (crit.flat[best] + ends.flat[best]) + np.pi * turn
+        witnesses[rows] = np.column_stack([np.cos(mids), np.sin(mids)])
+        values[rows] = (least.flat[best] + at_query) * _MASS_UNIT
+    return values, witnesses
+
+
+def _half_turn_sweep(points: np.ndarray, units: np.ndarray, queries: np.ndarray):
+    """Angular sweep over half a turn about each row of ``queries`` (m, 2)
+    of the distinct atoms ``points`` (n, 2) with int64 ``units`` (n,) of
+    any sign, in blocks of about ``_SWEEP_BLOCK`` angles. Yields, per
+    block, its slice of the queries and (b, n) arrays of the sorted sector
+    starts ``crit`` and ends and the open masses M, with the (b, 1) units
+    W off the query and the (b,) units at the query.
+
+    An atom at angle ``theta`` from the query is in the open halfplane of
+    the directions from ``e = theta - pi/2`` (mod 2 pi) to half a turn
+    later. A sector of directions and its antipode split W as M and W - M,
+    so half a turn [0, pi) holds every pair: an atom enters there at
+    e < pi, or is open at 0+ and leaves at ``e - pi`` (exact by Sterbenz).
+    One sort of these n angles and an int64 cumsum of the signed units give
+    every sector's M. A live sector is wider than ``_SECTOR_MIN``; the
+    others are rounding artefacts.
+    """
+    n = len(points)
     rows = max(1, _SWEEP_BLOCK // n)
     for start in range(0, queries.shape[0], rows):
         block = queries[start:start + rows]
         flat = n * np.arange(len(block))        # each row's offset in a flat block
-        ox = p.points[:, 0] - block[:, :1]
-        oy = p.points[:, 1] - block[:, 1:]
+        ox = points[:, 0] - block[:, :1]
+        oy = points[:, 1] - block[:, 1:]
         crit = np.arctan2(oy, ox)
-        # merged atoms are distinct, so at most one sits at a query: with the
+        # the atoms are distinct, so at most one sits at a query: with the
         # angle of the atom before it and no units, it adds an empty sector
         at = np.argmax((ox == 0.0) & (oy == 0.0), axis=1) + flat
         hit = (ox.flat[at] == 0.0) & (oy.flat[at] == 0.0)
@@ -135,15 +156,8 @@ def depth_2d_sweep_many(p: WeightedPointSet, queries) -> tuple[np.ndarray, np.nd
         open_mass = np.cumsum(signed.take(order), axis=1)
         # the last sum is the total less twice the units open at 0+
         open_mass += (total - open_mass[:, -1:]) // 2
-        least = np.minimum(open_mass, total - open_mass)
         ends = np.concatenate([crit[:, 1:], crit[:, :1] + np.pi], axis=1)
-        least[ends - crit <= _SECTOR_MIN] = _NO_UNITS
-        best = np.argmin(least, axis=1) + flat
-        turn = least.flat[best] < open_mass.flat[best]          # W - M is the smaller side
-        mids = 0.5 * (crit.flat[best] + ends.flat[best]) + np.pi * turn
-        witnesses[start:start + len(block)] = np.column_stack([np.cos(mids), np.sin(mids)])
-        values[start:start + len(block)] = (least.flat[best] + at_query) * _MASS_UNIT
-    return values, witnesses
+        yield slice(start, start + len(block)), crit, ends, open_mass, total, at_query
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +577,14 @@ def direction_blocks(c: int):
         size = min(2 * size, _BLOCK_ROWS)
 
 
-def guard_resident(structure: str, n: int, c: int, nbytes: int, remedy: str) -> None:
+def guard_resident(structure: str, n: int, c: int, nbytes: int) -> None:
     """Refuse (``ConfigError``) a ``structure`` over n atoms and c
     directions whose resident arrays would take more than
-    ``_RESIDENT_BYTES_CAP`` bytes; the message ends with ``remedy``, the
-    caller's way out."""
+    ``_RESIDENT_BYTES_CAP`` bytes."""
     if nbytes > _RESIDENT_BYTES_CAP:
         raise ConfigError(
             f"{structure} needs {nbytes} bytes for n={n} atoms and c={c} directions, "
-            f"above the {_RESIDENT_BYTES_CAP}-byte cap; {remedy}")
+            f"above the {_RESIDENT_BYTES_CAP}-byte cap; use a lower budget")
 
 
 def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -594,11 +607,9 @@ def mass_units(weights: np.ndarray) -> np.ndarray:
     return np.rint(weights / _MASS_UNIT).astype(np.int64)
 
 
-def sorted_suffix(proj: np.ndarray, units: np.ndarray,
-                  key: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``proj`` (c, n) sorted ascending by a plain argsort (or,
-    given ``key`` (c, n), by ``proj`` with ties broken by ``key``), and the
-    (c, n + 1) int64 tail masses of ``units`` (n,) in each row's order:
+def sorted_suffix(proj: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``proj`` (c, n) sorted ascending by a plain argsort, and
+    the (c, n + 1) int64 tail masses of ``units`` (n,) in each row's order:
     column i holds the units from rank i on, and the last column is 0.
 
     This is the one cumulative sum of weights over sorted projections. An
@@ -609,7 +620,7 @@ def sorted_suffix(proj: np.ndarray, units: np.ndarray,
     within about n·2**-61 (plus one rounding) of the float sum. ``proj`` may
     be any view; it is not written to.
     """
-    order = np.argsort(proj, axis=1) if key is None else np.lexsort((key, proj), axis=1)
+    order = np.argsort(proj, axis=1)
     suffix = np.zeros((proj.shape[0], proj.shape[1] + 1), dtype=np.int64)
     np.cumsum(units[order], axis=1, out=suffix[:, 1:])
     np.subtract(units.sum(), suffix, out=suffix)      # total less the units below rank i
@@ -699,7 +710,7 @@ class BatteryScorer:
 
     def __init__(self, p: WeightedPointSet, dirs: np.ndarray):
         n, c = p.size, len(dirs)
-        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1), "use a lower budget")
+        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
         self.dirs = dirs
         self._units = mass_units(p.weights)
         self._proj = np.empty((c, n))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_BUILD_PAIRS, _MASS_UNIT, _project_rows, direction_battery, guard_resident,
-                    mass_units, sorted_suffix)
+from .depth import (_BUILD_PAIRS, _MASS_UNIT, _SECTOR_MIN, _half_turn_sweep, _project_rows,
+                    direction_battery, guard_resident, mass_units, sorted_suffix)
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
@@ -131,7 +131,7 @@ class DecayProfile:
             dirs.append(raw / np.linalg.norm(raw, axis=1)[:, None])
         dirs = np.vstack(dirs)
         n, c = atoms.size, len(dirs)
-        guard_resident("decay profile", n, c, 8 * c * (2 * n + 1), "use a lower budget")
+        guard_resident("decay profile", n, c, 8 * c * (2 * n + 1))
         rows, units = sorted_suffix((offsets @ dirs.T).T, mass_units(atoms.weights))
         suffix = units * _MASS_UNIT
         rows.setflags(write=False)
@@ -246,50 +246,40 @@ def _max_signed_tail(points: np.ndarray, units: np.ndarray, dirs: np.ndarray) ->
 
     The union is projected once per chunk of directions, and each row's
     int64 tails come from one :func:`sorted_suffix`. A cut sits at an edge
-    of a run of tied projections (a closed or an open tail). In the plane
-    every rank of two orders is a cut as well: by run, then by the
-    coordinate across the direction, ascending or descending. Those are the
-    boundary lines turned infinitesimally about a pivot, which move a
-    prefix or a suffix of the atoms on the line. That needs every atom of
-    the line in one run, so there a run chains projections within ``tol``
-    of the one below: a coordinate-wise sum of two products is within
-    2·eps·|x|_1 of its exact value, and rounding cannot split a line.
+    of a run of tied projections, and both of its sides are read: the tail
+    from the edge on and the head below it.
     """
-    n, d = points.shape
-    tol = 4.0 * np.finfo(float).eps * float(np.abs(points).sum(axis=1).max())
+    n = len(points)
     best = 0
     step = max(1, _BUILD_PAIRS // n)
     for at in range(0, len(dirs), step):
-        chunk = dirs[at:at + step]
-        along = _project_rows(points, chunk)
-        if d == 2:
-            order = np.argsort(along, axis=1)
-            starts = np.ones(along.shape, dtype=np.intp)
-            starts[:, 1:] = np.diff(np.take_along_axis(along, order, axis=1), axis=1) > tol
-            runs = np.empty_like(starts)
-            np.put_along_axis(runs, order, np.cumsum(starts, axis=1), axis=1)
-            across = _project_rows(points, np.column_stack([-chunk[:, 1], chunk[:, 0]]))
-            for key in (across, -across):
-                best = max(best, int(np.abs(sorted_suffix(runs, units, key)[1]).max()))
-        else:
-            ranked, suffix = sorted_suffix(along, units)
-            edge = np.ones(suffix.shape, dtype=bool)
-            edge[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
-            best = max(best, int(np.abs(suffix[edge]).max()))
+        ranked, suffix = sorted_suffix(_project_rows(points, dirs[at:at + step]), units)
+        edge = np.ones(suffix.shape, dtype=bool)
+        edge[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
+        best = max(best, int(np.abs(suffix[edge]).max()),
+                   int(np.abs(suffix[:, :1] - suffix)[edge].max()))
     return best * _MASS_UNIT
 
 
-def _pair_normals_2d(points: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - points[None, :, :]
-    diffs = diffs.reshape(-1, 2)
-    norms = np.linalg.norm(diffs, axis=1)
-    diffs = diffs[norms > 0]
-    normals = np.column_stack([-diffs[:, 1], diffs[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    # canonical sign, then dedupe
-    flip = (normals[:, 0] < 0) | ((normals[:, 0] == 0) & (normals[:, 1] < 0))
-    normals[flip] *= -1
-    return np.unique(np.round(normals, 12), axis=0)
+def _max_pivot_cut(points: np.ndarray, units: np.ndarray) -> float:
+    """Largest |signed mass| of a closed halfplane over the distinct atoms
+    ``points`` (N, 2) with signed ``units``, by one :func:`_half_turn_sweep`
+    about every atom (Dobkin, Gunopulos & Maass, JCSS 52, 1996).
+
+    A halfplane can be moved, keeping its atom set, until its boundary
+    passes through an extreme atom of that set, and then turned about that
+    pivot until no other atom is on it. So every cut is, for some pivot and
+    a direction inside a sector wider than ``_SECTOR_MIN``, one open side
+    of the line through the pivot, M or W - M, with the pivot's units a or
+    without them. O(N^2 log N) time and O(N) memory.
+    """
+    best = 0
+    for _, crit, ends, open_mass, total, at_query in _half_turn_sweep(points, units, points):
+        live = ends - crit > _SECTOR_MIN
+        for side in (open_mass, total - open_mass):
+            best = max(best, int(np.abs(side[live]).max()),
+                       int(np.abs(side + at_query[:, None])[live].max()))
+    return best * _MASS_UNIT
 
 
 def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exact",
@@ -300,22 +290,20 @@ def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exac
     p and q are merged into one set of distinct atoms with signed
     fixed-point masses, so an atom they share is projected once and no
     threshold splits it from itself; the value is at most TV. ``exact``
-    mode (d <= 2) takes the line at d = 1 and the pair normals of the
-    union plus the axes at d = 2, where every cut of the boundary line by
-    a pivot is scored too; it returns the true sup. ``sampled`` mode takes
-    a seeded battery of random and atom-anchored directions and is a lower
-    bound on the true sup.
+    mode (d <= 2) returns the true sup: the cuts of the line at d = 1, and
+    at d = 2 a sweep of the halfplanes through each union atom
+    (:func:`_max_pivot_cut`). ``sampled`` mode takes a seeded battery of
+    random and atom-anchored directions and is a lower bound on the true
+    sup.
     """
     points, units = _signed_union(p, q)
-    n, d = points.shape
+    d = points.shape[1]
     if mode == "exact":
         if d > 2:
             raise ValueError("exact mode supports d <= 2; use mode='sampled'")
-        if d == 1:
-            dirs = np.array([[1.0]])
-        else:
-            guard_resident("halfspace metric", n, n * n, 16 * n * n, "use mode='sampled'")
-            dirs = np.vstack([_pair_normals_2d(points), np.eye(2)])
+        if d == 2:
+            return _max_pivot_cut(points, units)
+        dirs = np.array([[1.0]])
     elif mode == "sampled":
         dirs = direction_battery(np.vstack([p.points, q.points]), budget, make_rng(rng),
                                  anchor="difference")

@@ -163,7 +163,7 @@ class _BatteryObjective:
         self._discrete = discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
         if discrete:
-            guard_resident("projection objective", n, c, 8 * c * (2 * n + 1), "use a lower budget")
+            guard_resident("projection objective", n, c, 8 * c * (2 * n + 1))
             self.emp_sorted, self._emp_table = self._sorted_rows(p_hat)
             self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]
             # template atoms are offsets about its center
@@ -178,8 +178,7 @@ class _BatteryObjective:
         step = math.isqrt(n - 1) + 1
         width = -(-n // step) * step
         coarse = np.minimum(np.arange(0, n + step - 1, step), n - 1)
-        guard_resident("projection objective", n, c, 8 * c * (2 * width + 1 + 3 * coarse.size),
-                       "use a lower budget")
+        guard_resident("projection objective", n, c, 8 * c * (2 * width + 1 + 3 * coarse.size))
         rows, table = self._sorted_rows(p_hat, width)
         self.emp_sorted, self._emp_table = rows[:, :n], table[:, :n + 1]
         self.emp_cdf, self.emp_left = self._emp_table[:, 1:], self._emp_table[:, :-1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import linprog
 
 import halfspace as hs
 from halfspace import depth
-from halfspace.metrics import DecayProfile, normal_cdf, normal_quantile
+from halfspace.metrics import DecayProfile, _signed_union, normal_cdf, normal_quantile
 from halfspace.model import ConfigError, WeightedPointSet
 
 
@@ -280,6 +281,21 @@ def lp_reference(p: WeightedPointSet, q: WeightedPointSet) -> float:
     raise AssertionError("the empty subset is always separable")
 
 
+def units_reference(p: WeightedPointSet, q: WeightedPointSet) -> float:
+    """Halfspace metric in fixed point by brute force: the largest |sum| of
+    the int64 :func:`~halfspace.metrics._signed_union` units over the
+    subsets of the union that a hyperplane strictly separates from the
+    rest, converted to float once as the metric converts its own."""
+    atoms, units = _signed_union(p, q)
+    masks = (np.arange(1 << len(atoms))[:, None] >> np.arange(len(atoms))) & 1 == 1
+    sums = [abs(int(units[chosen].sum())) for chosen in masks]
+    # the largest sum whose subset is separable; the empty set always is
+    for k in sorted(range(len(masks)), key=lambda k: -sums[k]):
+        if _separable(atoms[masks[k]], atoms[~masks[k]]):
+            return sums[k] * depth._MASS_UNIT
+    raise AssertionError("the empty subset is always separable")
+
+
 @st.composite
 def signed_grid_pairs(draw, max_dim=3):
     """p and q on a small integer grid in R^1..R^max_dim, drawn from one pool of
@@ -315,15 +331,23 @@ class TestMetricAgainstLpReference:
                                     np.array([4, 4, 3]) / 11),
                    WeightedPointSet(np.array([[-3.0, -2.0], [1.0, 2.0]]), np.array([7, 12]) / 19),
                    False))
+    # the best cut's complement is a unit heavier than the cut: reading one
+    # side of each cut gave an ulp less, on the line and in the plane
+    @example(case=(WeightedPointSet.delta([1.0]),
+                   WeightedPointSet(np.array([[2.0], [-2.0]]), np.array([2, 1]) / 3), False))
+    @example(case=(WeightedPointSet(np.array([[2.0, 2.0], [-2.0, -2.0], [0.0, 0.0]]),
+                                    np.array([2, 4, 1]) / 7),
+                   WeightedPointSet(np.array([[0.0, 1.0], [-1.0, -2.0]]), np.array([5, 2]) / 7),
+                   False))
     @settings(max_examples=150, deadline=None)
     def test_exact_equals_reference_and_sampled_stays_below(self, case):
         p, q, dyadic = case
-        ref = lp_reference(p, q)
-        slack = 0.0 if dyadic else 1e-12
+        ref = units_reference(p, q)
         if p.dim <= 2:
-            exact = hs.halfspace_metric(p, q)
-            assert exact == ref if dyadic else abs(exact - ref) <= slack
-        assert hs.halfspace_metric(p, q, mode="sampled", budget=64, rng=3) <= ref + slack
+            assert hs.halfspace_metric(p, q) == ref
+        if dyadic:
+            assert lp_reference(p, q) == ref
+        assert hs.halfspace_metric(p, q, mode="sampled", budget=64, rng=3) <= ref
 
     @given(signed_grid_pairs(max_dim=2), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
@@ -340,31 +364,21 @@ class TestMetricAgainstLpReference:
         assert hs.halfspace_metric(shuffled[1], shuffled[0]) == value
 
 
-class TestMetricMemoryGuard:
-    def test_cap_is_the_pair_differences(self, monkeypatch):
-        # exact planar mode builds the (N^2, 2) float pair differences of the
-        # N distinct union atoms
-        rng = hs.make_rng(5)
-        p = WeightedPointSet.from_points(rng.standard_normal((6, 2)))
-        q = WeightedPointSet.from_points(np.vstack([p.points[:2], rng.standard_normal((3, 2))]))
-        n = 9
-        resident = 16 * n * n
-        value = hs.halfspace_metric(p, q)
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
-        with pytest.raises(ConfigError, match=f"halfspace metric needs {resident} bytes for "
-                                              f"n={n} atoms and c={n * n} directions"):
-            hs.halfspace_metric(p, q)
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
-        assert hs.halfspace_metric(p, q) == value
-
-    def test_refusal_names_sampled_mode(self, monkeypatch):
-        # exact mode takes no budget: the way out is the sampled mode
-        monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", 0)
-        p = WeightedPointSet.from_points([[0.0, 0.0], [1.0, 0.0]])
-        q = WeightedPointSet.from_points([[0.0, 1.0]])
-        with pytest.raises(ConfigError, match=r"byte cap; use mode='sampled'$"):
-            hs.halfspace_metric(p, q)
-        assert hs.halfspace_metric(p, q, mode="sampled", budget=16, rng=0) <= 1.0
+class TestMetricMemory:
+    def test_exact_planar_memory_is_linear(self):
+        # the pivot sweep runs in blocks of about _SWEEP_BLOCK angles, so it
+        # holds O(_SWEEP_BLOCK + N) values; N^2 doubles would take 128 MB
+        rng = hs.make_rng(11)
+        p = WeightedPointSet.from_points(rng.standard_normal((2000, 2)))
+        q = WeightedPointSet.from_points(rng.standard_normal((2000, 2)))
+        tracemalloc.start()
+        try:
+            value = hs.halfspace_metric(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value <= hs.tv_distance(p, q)
+        assert peak <= 8 * 2 ** 20
 
 
 class TestBiasBounds:
