@@ -126,8 +126,9 @@ def _half_turn_sweep(points: np.ndarray, units: np.ndarray, queries: np.ndarray)
     so half a turn [0, pi) holds every pair: an atom enters there at
     e < pi, or is open at 0+ and leaves at ``e - pi`` (exact by Sterbenz).
     One sort of these n angles and an int64 cumsum of the signed units give
-    every sector's M. A live sector is wider than ``_SECTOR_MIN``; the
-    others are rounding artefacts.
+    every sector's M. Depth reads only sectors wider than ``_SECTOR_MIN``
+    (narrower ones are rounding artefacts of its queries); the planar
+    metric reads every sector of nonzero width.
     """
     n = len(points)
     rows = max(1, _SWEEP_BLOCK // n)
@@ -543,7 +544,12 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     """Certified upper bound on the depth: the minimum closed-halfspace mass
     over a seeded battery of random and atom-anchored directions. Since the
     infimum for atomic distributions is attained on atom-anchored normals,
-    the augmentation makes many instances exact."""
+    the augmentation makes many instances exact.
+
+    Every mass counts each atom that rounding cannot place strictly below
+    the hyperplane, so it is at least the exact closed mass along its
+    direction, hence at least the depth, even when an atom lies on the
+    boundary in exact arithmetic."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mu = as_point(mu)
@@ -551,16 +557,20 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
         raise ValueError("query point dimension mismatch")
     gen = make_rng(rng)
     offsets = p.points - mu
+    # the float offset and dot product are each within (d + 1) * 2**-53 *
+    # |o|.|v| of the exact v.(x_i - mu): an atom no further below counts
+    reach = (p.dim + 2) * np.finfo(float).eps * np.abs(offsets)
     dirs = direction_battery(p.points, budget, gen, anchor="offset", mu=mu)
     best_value = math.inf
-    best_v = dirs[0]
+    best_v, best_closed = dirs[0], np.ones(p.size, dtype=bool)
     for chunk in np.array_split(dirs, min(len(dirs), len(dirs) * p.size // 2_000_000 + 1)):
-        masses = (offsets @ chunk.T >= 0.0).T @ p.weights
+        closed = offsets @ chunk.T >= -(reach @ np.abs(chunk.T))
+        masses = closed.T @ p.weights
         i = int(np.argmin(masses))
         if masses[i] < best_value:
             best_value = float(masses[i])
-            best_v = chunk[i]
-    closed = mass_units(p.weights)[offsets @ best_v >= 0.0].sum()
+            best_v, best_closed = chunk[i], closed[:, i]
+    closed = mass_units(p.weights)[best_closed].sum()
     return DepthResult(float(closed * _MASS_UNIT), best_v, "sampled")
 
 
@@ -587,17 +597,56 @@ def guard_resident(structure: str, n: int, c: int, nbytes: int) -> None:
             f"above the {_RESIDENT_BYTES_CAP}-byte cap; use a lower budget")
 
 
-def _project_rows(points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """(c, m) projections of ``points`` (m, d) on ``dirs`` (c, d).
+def _project_rows(points: np.ndarray, dirs: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """(c, m) projections of ``points`` (m, d) on ``dirs`` (c, d), written
+    to ``out`` when it is given.
 
     The sum runs coordinate by coordinate, so every entry has the same bits
     whatever else is in the batch; a matrix product may round a lone row
     differently, which would let a query on an atom miss its own weight.
+    Each coordinate's products are one outer product of two contiguous
+    columns (``np.einsum`` without a summed index: one rounding each, and
+    faster than a broadcast multiply), added through one temporary. A
+    negated direction gives the negated sums; a zero sum may have either
+    sign, which no comparison sees.
     """
-    out = dirs[:, :1] * points[:, 0]
-    for k in range(1, points.shape[1]):
-        out += dirs[:, k:k + 1] * points[:, k]
+    cols, weights = np.ascontiguousarray(points.T), np.ascontiguousarray(dirs.T)
+    if out is None:
+        out = np.empty((dirs.shape[0], cols.shape[1]))
+    np.einsum("j,n->jn", weights[0], cols[0], out=out)
+    if len(cols) > 1:
+        term = np.empty_like(out)
+        for k in range(1, len(cols)):
+            np.einsum("j,n->jn", weights[k], cols[k], out=term)
+            out += term
     return out
+
+
+def direction_lines(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lines of a battery ``dirs`` (c, d): its rows grouped when they
+    are equal up to sign (a signed zero equals its twin), in order of first
+    appearance, in O(c log c).
+
+    Returns ``(rows, twin)``: the index of each line's first row, and
+    whether the battery also holds that row's negation. Projections on a
+    negated row are the negated projections, bit for bit, so one row per
+    line carries every cut of the battery.
+    """
+    c = len(dirs)
+    negative = dirs[np.arange(c), np.argmax(dirs != 0.0, axis=1)] < 0.0
+    canon = np.where(negative[:, None], -dirs, dirs)    # -0.0 compares equal to 0.0
+    order = np.lexsort(canon.T[::-1])      # stable: a run of equal rows starts at its first
+    canon = canon[order]
+    starts = np.ones(c, dtype=bool)
+    starts[1:] = np.any(canon[1:] != canon[:-1], axis=1)
+    line = np.empty(c, dtype=np.intp)
+    line[order] = np.cumsum(starts) - 1
+    first = order[starts]
+    twin = np.zeros(len(first), dtype=bool)
+    twin[line[negative != negative[first[line]]]] = True
+    by_first = np.argsort(first)
+    return first[by_first], twin[by_first]
 
 
 def mass_units(weights: np.ndarray) -> np.ndarray:
@@ -692,39 +741,53 @@ class BatteryScorer:
     direction give the same bits whichever path computed them and whatever
     else was in the batch.
 
-    The atoms are projected once, coordinate by coordinate, into one (c, n)
-    array, one row per direction, in chunks of directions. A row is sorted
-    in place, with its :func:`sorted_suffix` masses, only when a block of
-    :func:`direction_blocks` that holds it is reached by at least
-    ``_SORT_QUERIES`` live queries; a key on a sorted row then costs one
-    binary search. Below that, a key's mass is a masked sum over the
-    unsorted row, in O(n) comparisons and no sort. Since pruning stops most
-    queries within the first blocks, most rows are never sorted. Retains at
-    most ``8 * c * (2 * n + 1)`` bytes (once every row is sorted) for n
-    atoms and c directions, and refuses (:func:`guard_resident`) a battery
-    that would retain more.
+    The scorer works on the u lines of the battery
+    (:func:`direction_lines`): a row and its negation share one line, which
+    is projected once and sorted at most once, and both sides of a cut are
+    read from it, as the planar sweep reads M and W - M from one sort
+    (Rousseeuw & Ruts, AS 307). At a query's key k on a line v, the closed
+    mass along v is the units at or above k and, where the battery holds
+    -v, the closed mass along -v is the units at or below k; negation is
+    exact, so both have the bits of their own rows.
 
-    :meth:`bounded_scores` scores in blocks of directions and stops scoring a
+    The lines are projected coordinate by coordinate, straight into one
+    (u, n) array, in chunks of lines. A line is sorted in place, with its
+    :func:`sorted_suffix` masses, only when a block of
+    :func:`direction_blocks` (over lines) that holds it is reached by at
+    least ``_SORT_QUERIES`` live queries; a key on a sorted line then costs
+    one binary search per side. Below that, a side's mass is a masked sum
+    over the unsorted line, in O(n) comparisons and no sort, and the -v
+    side is summed only where W less the v side, its lower bound, is below
+    the query's running minimum. Since pruning stops most queries within
+    the first blocks, most lines are never sorted. Retains at most
+    ``8 * u * (2 * n + 1)`` bytes (once every line is sorted) for n atoms,
+    and refuses (:func:`guard_resident`, with c = u) a battery that would
+    retain more.
+
+    :meth:`bounded_scores` scores in blocks of lines and stops scoring a
     query once it falls below a floor; :meth:`scores` is its floor-free case.
     """
 
     def __init__(self, p: WeightedPointSet, dirs: np.ndarray):
-        n, c = p.size, len(dirs)
-        guard_resident("battery scorer", n, c, 8 * c * (2 * n + 1))
+        rows, self._twin = direction_lines(dirs)
+        n, u = p.size, len(rows)
+        guard_resident("battery scorer", n, u, 8 * u * (2 * n + 1))
         self.dirs = dirs
+        self._lines = dirs[rows]
         self._units = mass_units(p.weights)
-        self._proj = np.empty((c, n))
-        # rows fill in only as they are sorted
-        self._suffix = np.empty((c, n + 1), dtype=np.int64)
-        self._ranked = np.zeros(c, dtype=bool)
+        self._total = self._units.sum()
+        self._proj = np.empty((u, n))
+        # lines fill in only as they are sorted
+        self._suffix = np.empty((u, n + 1), dtype=np.int64)
+        self._ranked = np.zeros(u, dtype=bool)
         self._chunk = max(1, _BUILD_PAIRS // max(1, n))
-        for start in range(0, c, self._chunk):
-            rows = slice(start, start + self._chunk)
-            self._proj[rows] = _project_rows(p.points, dirs[rows])
+        for start in range(0, u, self._chunk):
+            chunk = slice(start, start + self._chunk)
+            _project_rows(p.points, self._lines[chunk], out=self._proj[chunk])
 
     def _rank(self, block: slice) -> None:
-        """Sort the rows of ``block`` in place, once, with their suffix
-        masses; the blocks are fixed, so a block's rows are sorted together."""
+        """Sort the lines of ``block`` in place, once, with their suffix
+        masses; the blocks are fixed, so a block's lines are sorted together."""
         if self._ranked[block.start]:
             return
         for start in range(block.start, block.stop, self._chunk):
@@ -732,40 +795,66 @@ class BatteryScorer:
             self._proj[rows], self._suffix[rows] = sorted_suffix(self._proj[rows], self._units)
         self._ranked[block] = True
 
+    def _least_units(self, block: slice, keys: np.ndarray, least: np.ndarray) -> np.ndarray:
+        """The running minima ``least`` (m,) lowered to the least closed
+        mass, in units, along the directions of the lines of ``block`` at
+        each column of ``keys`` (b, m)."""
+        lines = np.arange(block.start, block.start + len(keys))
+        twin = self._twin[block]
+        if self._ranked[block.start]:
+            upper = self._suffix[lines[:, None], row_searchsorted(self._proj, keys, lines)]
+            least = np.minimum(least, upper.min(axis=0))
+            if twin.any():
+                # the units at or below k: all but those above it
+                above = np.nextafter(keys[twin], math.inf)
+                below = self._suffix[lines[twin][:, None],
+                                     row_searchsorted(self._proj, above, lines[twin])]
+                least = np.minimum(least, (self._total - below).min(axis=0))
+            return least
+        upper = _compare_units(self._proj[block], self._units, keys)
+        least = np.minimum(least, upper.min(axis=0))
+        # along -v the mass is at least W - upper (the units tied at k come
+        # on top), so only a line where that is below the least is counted,
+        # as the units of -p at or above -k
+        rows = np.flatnonzero(twin & (self._total - upper < least).any(axis=1))
+        if rows.size:
+            flipped = self._proj[lines[rows]]
+            np.negative(flipped, out=flipped)
+            least = np.minimum(least, _compare_units(flipped, self._units, -keys[rows]).min(axis=0))
+        return least
+
     def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf) -> np.ndarray:
         """Scores of the rows of ``candidates`` (m, d) that stay at or above
         ``floor``.
 
-        Directions are taken in battery order, in the blocks of
-        :func:`direction_blocks`, and a query is no longer scored once its
-        running minimum drops below ``floor``. A query whose score is at or
-        above ``floor`` gets that exact score; any other gets its running
-        minimum, which lies below ``floor`` and at or above its score. Each
-        mass has the same bits in any batch and on a sorted or unsorted
-        row: projections are summed coordinate by coordinate, and the mass
-        is an exact integer sum, converted to float once.
+        Lines are taken in battery order of first appearance, in the
+        blocks of :func:`direction_blocks`, each with both of its
+        directions where the battery holds both, and a query is no longer
+        scored once its running minimum (kept in units) drops below
+        ``floor``. A query
+        whose score is at or above ``floor`` gets that exact score; any
+        other gets its running minimum, which lies below ``floor`` and at or
+        above its score. Each mass has the same bits in any batch and on a
+        sorted or unsorted line: projections are summed coordinate by
+        coordinate, and the mass is an exact integer sum, converted to
+        float once.
         """
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        battery = np.arange(len(self.dirs))
-        best = np.full(candidates.shape[0], math.inf)
+        least = np.full(candidates.shape[0], _NO_UNITS)
         live = np.arange(candidates.shape[0])
-        for block in direction_blocks(len(battery)):
+        for block in direction_blocks(len(self._lines)):
             if not live.size:
                 break
             if live.size >= _SORT_QUERIES:
                 self._rank(block)
-            rows = battery[block]
-            cols = max(1, _SCORE_PAIRS // len(rows))
+            dirs = self._lines[block]
+            cols = max(1, _SCORE_PAIRS // len(dirs))
             for at in range(0, live.size, cols):
                 part = live[at:at + cols]
-                keys = _project_rows(candidates[part], self.dirs[rows])
-                if self._ranked[block.start]:
-                    units = self._suffix[rows[:, None], row_searchsorted(self._proj, keys, rows)]
-                else:
-                    units = _compare_units(self._proj[block], self._units, keys)
-                best[part] = np.minimum(best[part], units.min(axis=0) * _MASS_UNIT)
-            live = live[best[live] >= floor]
-        return best
+                keys = _project_rows(candidates[part], dirs)
+                least[part] = self._least_units(block, keys, least[part])
+            live = live[least[live] * _MASS_UNIT >= floor]
+        return np.where(least < _NO_UNITS, least * _MASS_UNIT, math.inf)
 
     def scores(self, candidates: np.ndarray) -> np.ndarray:
         """Depth upper bound of each row of ``candidates`` (m, d)."""

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_BUILD_PAIRS, _MASS_UNIT, _SECTOR_MIN, _half_turn_sweep, _project_rows,
-                    direction_battery, guard_resident, mass_units, sorted_suffix)
+from .depth import (_BUILD_PAIRS, _MASS_UNIT, _half_turn_sweep, _project_rows, direction_battery,
+                    direction_lines, guard_resident, mass_units, sorted_suffix)
 from .model import NamedDistribution, WeightedPointSet, as_point
 from .rng import RngLike, make_rng
 
@@ -269,13 +269,15 @@ def _max_pivot_cut(points: np.ndarray, units: np.ndarray) -> float:
     A halfplane can be moved, keeping its atom set, until its boundary
     passes through an extreme atom of that set, and then turned about that
     pivot until no other atom is on it. So every cut is, for some pivot and
-    a direction inside a sector wider than ``_SECTOR_MIN``, one open side
-    of the line through the pivot, M or W - M, with the pivot's units a or
-    without them. O(N^2 log N) time and O(N) memory.
+    a direction inside a sector of nonzero width, one open side of the line
+    through the pivot, M or W - M, with the pivot's units a or without
+    them. Every such sector counts, however narrow: on nearly collinear
+    atoms a real sector can be narrower than the depth sweep's
+    ``_SECTOR_MIN``. O(N^2 log N) time and O(N) memory.
     """
     best = 0
     for _, crit, ends, open_mass, total, at_query in _half_turn_sweep(points, units, points):
-        live = ends - crit > _SECTOR_MIN
+        live = ends > crit
         for side in (open_mass, total - open_mass):
             best = max(best, int(np.abs(side[live]).max()),
                        int(np.abs(side + at_query[:, None])[live].max()))
@@ -307,6 +309,7 @@ def halfspace_metric(p: WeightedPointSet, q: WeightedPointSet, mode: str = "exac
     elif mode == "sampled":
         dirs = direction_battery(np.vstack([p.points, q.points]), budget, make_rng(rng),
                                  anchor="difference")
+        dirs = dirs[direction_lines(dirs)[0]]   # a negated row repeats the cuts of its twin
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return _max_signed_tail(points, units, dirs)

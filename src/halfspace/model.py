@@ -58,6 +58,7 @@ class WeightedPointSet:
 
     points: np.ndarray
     weights: np.ndarray
+    _merged = False   # set once consolidate knows the atoms are distinct
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -118,19 +119,25 @@ class WeightedPointSet:
         A set that is already merged (no -0.0, and every atom strictly above
         the one before it in lexicographic order, checked in O(n d) with no
         sort) is returned as it is: merging it again would give the same
-        bits.
+        bits. The set remembers that it passed the check, and a set built
+        here is merged, so a later call returns at once.
         """
+        if self._merged:
+            return self
         pts = self.points
         if not np.any((pts == 0.0) & np.signbit(pts)):
             rows = np.arange(self.size - 1)
             first = np.argmax(pts[1:] != pts[:-1], axis=1)   # first coordinate that differs
             if np.all(pts[rows + 1, first] > pts[rows, first]):
+                object.__setattr__(self, "_merged", True)
                 return self
         uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
         w = np.zeros(uniq.shape[0])
         ascending = np.argsort(self.weights)
         np.add.at(w, inverse.ravel()[ascending], self.weights[ascending])
-        return WeightedPointSet(uniq + 0.0, w)
+        merged = WeightedPointSet(uniq + 0.0, w)
+        object.__setattr__(merged, "_merged", True)
+        return merged
 
     # -- serialization: CSV with header w,x1,...,xd and a JSON mirror --
 

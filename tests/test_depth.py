@@ -292,6 +292,15 @@ def lattice_cases(draw):
 
 class TestEnginesAgainstLpReference:
     @given(lattice_cases())
+    # the atoms lie on a line through the third query, and the sampled
+    # engine's anchored normals are orthogonal to it only up to rounding:
+    # counting the closed side by the sign of a float dot product read
+    # 0.1875, below the depth 0.3125
+    @example(case=(WeightedPointSet(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                              [-1.0, -1.0, -1.0, 0.0], [-2.0, -2.0, -2.0, 0.0],
+                                              [-2.0, -2.0, -2.0, 0.0], [2.0, 2.0, 2.0, 0.0]]),
+                                    np.array([1, 1, 1, 1, 1, 11]) / 16.0),
+                   np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.0]])))
     @settings(max_examples=150, deadline=None)
     def test_exact_engines_equal_it_and_sampled_bounds_it(self, case):
         p, queries = case
@@ -663,25 +672,85 @@ def fixed_point_cases(draw):
     return WeightedPointSet(pts, w / w.sum()), dirs, queries
 
 
+@st.composite
+def line_batteries(draw):
+    """A case of :func:`fixed_point_cases` whose battery also holds exact
+    negations of its rows, duplicate rows, rows that differ from another
+    only in signed zeros, and rows present only as their negation, in a
+    drawn order."""
+    p, dirs, queries = draw(fixed_point_cases())
+    rows = st.lists(st.integers(0, len(dirs) - 1), max_size=6)
+    dirs = dirs.copy()
+    flipped = draw(rows)
+    dirs[flipped] = -dirs[flipped]
+    zeros = dirs[draw(rows)]
+    zeros[zeros == 0.0] = -zeros[zeros == 0.0]       # 0.0 <-> -0.0
+    dirs = np.vstack([dirs, dirs[draw(rows)], -dirs[draw(rows)], zeros])
+    return p, dirs[np.array(draw(st.permutations(range(len(dirs)))), dtype=np.intp)], queries
+
+
+def line_count(dirs) -> int:
+    """The number of distinct rows of ``dirs`` up to sign, by brute force
+    (-0.0 == 0.0 as a key)."""
+    lines = set()
+    for row in dirs.tolist():
+        lead = next((x for x in row if x != 0.0), 1.0)
+        lines.add(tuple(x * math.copysign(1.0, lead) for x in row))
+    return len(lines)
+
+
 class TestFixedPointMasses:
     @settings(max_examples=150, deadline=None)
-    @given(fixed_point_cases())
-    def test_bits_do_not_depend_on_path_or_batch(self, case):
-        # each query alone (rows compared unless sorted before), then in one
-        # batch (rows sorted once enough queries reach them), then alone
-        # again, with rows always sorted, sorted as shipped, and never sorted
+    @given(line_batteries(), st.data())
+    def test_bits_do_not_depend_on_path_or_batch(self, case, data):
+        # each query alone (lines compared unless sorted before), then in one
+        # batch (lines sorted once enough queries reach them), then in drawn
+        # batches, then alone again, with lines always sorted, sorted as
+        # shipped, and never sorted; every score is the least closed mass
+        # over every row of the battery, negated and repeated rows included
         p, dirs, queries = case
         want = per_direction_masses(p, dirs, queries).min(axis=1)
+        cuts = sorted(data.draw(st.lists(st.integers(1, len(queries) - 1), max_size=3)))
         for threshold, ranked in ((1, True), (depth._SORT_QUERIES, None), (10 ** 9, False)):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(depth, "_SORT_QUERIES", threshold)
                 scorer = BatteryScorer(p, dirs)
                 runs = [np.array([scorer.score(q) for q in queries]), scorer.scores(queries),
+                        np.concatenate([scorer.scores(b) for b in np.split(queries, cuts)]),
                         np.array([scorer.score(q) for q in queries])]
             for got in runs:
                 assert got.tobytes() == want.tobytes()
             if ranked is not None:
                 assert scorer._ranked.all() == ranked and scorer._ranked.any() == ranked
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_batteries(), st.data())
+    def test_floors_over_lines(self, case, data):
+        # exact at or above the floor, between the score and the floor below it
+        p, dirs, queries = case
+        want = per_direction_masses(p, dirs, queries).min(axis=1)
+        threshold = data.draw(st.sampled_from([1, depth._SORT_QUERIES, 10 ** 9]))
+        floor = data.draw(st.sampled_from(np.unique(want).tolist()))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(depth, "_SORT_QUERIES", threshold)
+            got = BatteryScorer(p, dirs).bounded_scores(queries, floor)
+        keep = want >= floor
+        assert got[keep].tobytes() == want[keep].tobytes()
+        assert np.all(got[~keep] >= want[~keep]) and np.all(got[~keep] < floor)
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_batteries())
+    def test_build_projects_each_line_once(self, case):
+        p, dirs, _ = case
+        projected = []
+        real = depth._project_rows
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(depth, "_project_rows", lambda points, rows, out=None:
+                      (projected.append(rows.copy()), real(points, rows, out))[1])
+            scorer = BatteryScorer(p, dirs)
+        rows = np.vstack(projected)
+        assert len(rows) == line_count(dirs) == line_count(rows) == scorer._proj.shape[0]
+        assert scorer._proj.tobytes() == real(p.points, rows).tobytes()
 
 
 @st.composite
@@ -759,28 +828,34 @@ class TestBoundedScores:
             assert np.all(got[~keep] >= exact[~keep]) and np.all(got[~keep] < floor)
 
     def test_stops_at_the_first_block_below_the_floor(self, monkeypatch):
-        # blocks of 1, 2, 4, ... directions in battery order: a query whose
-        # k-th direction is the first below the floor takes the blocks that
-        # reach k, and returns the running minimum over exactly those
+        # blocks of 1, 2, 4, ... lines in order of first appearance, each
+        # line read in both of its directions where the battery holds both:
+        # a query whose k-th line is the first below the floor takes the
+        # blocks that reach k, and returns the running minimum over exactly
+        # those lines
         p, scorer, queries = self.setup_case(3)
         q = queries[25]
-        masses = per_direction_masses(p, scorer.dirs, q)[0]
-        floor = float(masses[:16].min())                 # no direction below it before 16
+        rows, twin = depth.direction_lines(scorer.dirs)
+        lines = scorer.dirs[rows]
+        assert twin.sum() > 16 and not twin.all()
+        masses = per_direction_masses(p, lines, q)[0]
+        masses = np.where(twin, np.minimum(masses, per_direction_masses(p, -lines, q)[0]),
+                          masses)
+        floor = float(masses[:16].min())                 # no line below it before 16
         first = int(np.argmax(masses < floor))
         assert masses[first] < floor and first >= 16
         sizes, start = [], 0
         while start <= first:
             sizes.append(min(2 ** len(sizes), depth._BLOCK_ROWS, len(masses) - start))
             start += sizes[-1]
-        # a lone query takes the comparison path; the third argument of
-        # either path has one entry per direction of the block
+        # the query is projected once per block, on the block's lines
         seen = []
-        for name in ("row_searchsorted", "_compare_units"):
-            real = getattr(depth, name)
-            monkeypatch.setattr(depth, name, lambda *args, real=real:
-                                (seen.append(len(args[2])), real(*args))[1])
+        real = depth._project_rows
+        monkeypatch.setattr(depth, "_project_rows", lambda points, dirs, out=None:
+                            (seen.append(dirs.copy()), real(points, dirs, out))[1])
         got = scorer.bounded_scores(q[None, :], floor)[0]
-        assert seen == sizes
+        assert [len(block) for block in seen] == sizes
+        assert np.vstack(seen).tobytes() == lines[:start].tobytes()
         assert got == masses[:start].min() < floor
 
     def test_scores_is_the_floor_free_case(self):
@@ -796,11 +871,13 @@ class TestScorerMemoryGuard:
         rng = hs.make_rng(7)
         p = uniform(rng.standard_normal((300, 3)))
         dirs = hs.direction_battery(p.points, 32, hs.make_rng(8), anchor="difference")
-        c = len(dirs)
-        resident = 8 * c * (2 * 300 + 1)
+        # the scorer keeps one row per line: a row and its negation share one
+        u = line_count(dirs)
+        assert u < len(dirs)
+        resident = 8 * u * (2 * 300 + 1)
         monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident - 1)
         with pytest.raises(ConfigError, match=f"battery scorer needs {resident} bytes for "
-                                              f"n=300 atoms and c={c} directions.*lower budget"):
+                                              f"n=300 atoms and c={u} directions.*lower budget"):
             BatteryScorer(p, dirs)
         monkeypatch.setattr(depth, "_RESIDENT_BYTES_CAP", resident)
         scorer = BatteryScorer(p, dirs)

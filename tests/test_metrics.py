@@ -1,5 +1,8 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import halfspace as hs
-from halfspace import depth
+from halfspace import depth, metrics
 from halfspace.metrics import DecayProfile, _signed_union, normal_cdf, normal_quantile
 from halfspace.model import ConfigError, WeightedPointSet
 
@@ -296,6 +299,53 @@ def units_reference(p: WeightedPointSet, q: WeightedPointSet) -> float:
     raise AssertionError("the empty subset is always separable")
 
 
+def fraction_reference(p: WeightedPointSet, q: WeightedPointSet) -> float:
+    """Planar halfspace metric of the float atoms in exact rational
+    arithmetic: the largest |prefix sum| of the signed union units in
+    projection order, along one direction inside every sector between the
+    exact critical directions (the axes and both normals of every atom
+    pair), converted to float once. A cut with atoms on its boundary is
+    also a cut of a direction inside a neighbouring sector."""
+    atoms, units = _signed_union(p, q)
+    pts = [tuple(map(Fraction, x)) for x in atoms.tolist()]
+    crit = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for (ax, ay), (bx, by) in combinations(pts, 2):
+        crit += [(ay - by, bx - ax), (by - ay, ax - bx)]
+
+    def turn(a, b):
+        """Order of two directions by angle in [0, 2 pi)."""
+        upper = [v[1] > 0 or (v[1] == 0 and v[0] > 0) for v in (a, b)]
+        if upper[0] != upper[1]:
+            return -1 if upper[0] else 1
+        cross = a[0] * b[1] - a[1] * b[0]
+        return (cross < 0) - (cross > 0)
+
+    crit.sort(key=cmp_to_key(turn))
+    best = 0
+    for a, b in zip(crit, crit[1:] + crit[:1]):
+        if turn(a, b) != 0:
+            v = (a[0] + b[0], a[1] + b[1])      # strictly inside: the sectors are below pi
+            order = sorted(range(len(pts)), key=lambda i: v[0] * pts[i][0] + v[1] * pts[i][1])
+            best = max(best, max(abs(s) for s in np.cumsum(units[order]).tolist()))
+    return best * depth._MASS_UNIT
+
+
+@st.composite
+def near_collinear_pairs(draw):
+    """p and q on a 0.1-step grid near (100, 100): the float atoms are
+    nearly collinear in many ways, with sectors far narrower than 1e-13
+    rad between them."""
+    cell = st.tuples(*[st.integers(-3, 3).map(lambda k: 100.0 + 0.1 * k)] * 2)
+
+    def atom_set() -> WeightedPointSet:
+        pts = draw(st.lists(cell, min_size=1, max_size=4))
+        w = np.array(draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts))),
+                     dtype=float)
+        return WeightedPointSet(np.array(pts), w / w.sum())
+
+    return atom_set(), atom_set()
+
+
 @st.composite
 def signed_grid_pairs(draw, max_dim=3):
     """p and q on a small integer grid in R^1..R^max_dim, drawn from one pool of
@@ -348,6 +398,36 @@ class TestMetricAgainstLpReference:
         if dyadic:
             assert lp_reference(p, q) == ref
         assert hs.halfspace_metric(p, q, mode="sampled", budget=64, rng=3) <= ref
+
+    @given(signed_grid_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_reads_each_line_once(self, case):
+        # the kernel reads both sides of every cut, so a negated row adds
+        # nothing: the battery with its negated rows removed gives the bits
+        # of the whole battery
+        p, q, _ = case
+        points, units = _signed_union(p, q)
+        dirs = hs.direction_battery(np.vstack([p.points, q.points]), 64, hs.make_rng(3),
+                                    anchor="difference")
+        kept = []
+        for row in dirs:
+            if not any(np.array_equal(-row, other) for other in kept):
+                kept.append(row)
+        assert len(kept) < len(dirs)
+        value = hs.halfspace_metric(p, q, mode="sampled", budget=64, rng=3)
+        assert metrics._max_signed_tail(points, units, dirs) == value
+        assert metrics._max_signed_tail(points, units, np.array(kept)) == value
+
+    @given(near_collinear_pairs())
+    # p's atoms and q's lie nearly on one line; in floats q's atom is just
+    # off it, so a thin halfplane holds it alone, and masking sectors
+    # narrower than 1e-13 rad read 0.5 for the exact 1.0
+    @example(case=(WeightedPointSet.from_points([[99.7, 99.9], [99.9, 100.1]]),
+                   WeightedPointSet.delta([99.8, 100.0])))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_planar_equals_fraction_reference(self, case):
+        p, q = case
+        assert hs.halfspace_metric(p, q) == fraction_reference(p, q)
 
     @given(signed_grid_pairs(max_dim=2), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)

@@ -58,6 +58,16 @@ class TestWeightedPointSet:
         assert not np.any(np.signbit(merged.points))
         assert merged.consolidate() is merged
 
+    def test_a_merged_set_is_checked_once(self, monkeypatch):
+        ordered = WeightedPointSet(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+        built = WeightedPointSet(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, -0.0]]),
+                                 np.array([0.25, 0.25, 0.5])).consolidate()
+        assert ordered.consolidate() is ordered
+        # both sets now know they are merged: neither runs the check again
+        monkeypatch.setattr(np, "signbit", lambda *a: pytest.fail("merged set checked again"))
+        assert ordered.consolidate() is ordered
+        assert built.consolidate() is built
+
     def test_csv_round_trip_is_exact(self):
         rng = hs.make_rng(0)
         p = WeightedPointSet.from_points(rng.standard_normal((7, 3)))
