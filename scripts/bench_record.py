@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 scripts/bench_record.py --seeds 1 2 3 --seconds 20 20=. 19=../parent
+    python3 scripts/bench_record.py --seeds 1 2 3 --seconds 20 [--per-layer] 20=. 19=../parent
 
 Each ``TAG=TREE`` names a checkout that holds ``bench/run.py`` and
 ``src/halfspace``. For every seed and every workload of the tree's
@@ -15,6 +15,12 @@ six end-to-end metrics, ``correct``, ``attempted`` and ``failed``) and
 each metric's median and quartiles, with the machine and library versions
 the benchmark reports, the tree's git description and source digest, and
 the line count of each ``src/halfspace/*.py``.
+
+``--per-layer`` also runs ``bench/run.py ... --trace 1`` for every seed
+and workload of each tree, right after its ``--trace 0`` runs, and stores
+those result lines and the median and quartiles of each per-layer metric
+(``projection.objective_s``, ``optimize.objective_calls``, ...) beside the
+end-to-end ones.
 
 ``--seconds 0`` runs each workload's minimum trial count: a smoke run
 that only shows the recorder and the benchmark still work together.
@@ -65,10 +71,11 @@ def cpu_model() -> str | None:
     return platform.processor() or None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, dict]:
     """One benchmark run: its result line and the environment it logged."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=tree, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     env = next((json.loads(x[len("env: "):]) for x in lines if x.startswith("env: ")), {})
@@ -84,38 +91,48 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(ordered), "q1": low, "q3": high, "values": values}
 
 
-def record(trees: dict[str, Path], seeds: list[int], seconds: float) -> dict[str, dict]:
+def summarize(items: list[dict]) -> dict:
+    """The result lines of one workload's runs, each metric's median and
+    quartiles, and the failed and attempted trial counts."""
+    return {
+        "runs": items,
+        "metrics": {m: dict(unit=spec["unit"],
+                            **summary([r["metrics"][m]["value"] for r in items]))
+                    for m, spec in items[0]["metrics"].items()},
+        "failed": sum(r["failed"] for r in items),
+        "attempted": sum(r["attempted"] for r in items),
+    }
+
+
+def record(trees: dict[str, Path], seeds: list[int], seconds: float,
+           per_layer: bool = False) -> dict[str, dict]:
     tags = list(trees)
-    runs = {tag: {} for tag in tags}
+    traces = (0, 1) if per_layer else (0,)
+    runs = {(tag, trace): {} for tag in tags for trace in traces}
     env = {}
     for i, seed in enumerate(seeds):
         order = tags[i % len(tags):] + tags[:i % len(tags)]
         for tag in order:
             workloads = json.loads((trees[tag] / "bench" / "workloads.json").read_text())
-            for workload in workloads["workloads"]:
-                result, env[tag] = run_once(trees[tag], workload, seed, seconds)
-                runs[tag].setdefault(workload, []).append(
-                    dict(seed=seed, position=order.index(tag), **result))
-                metrics = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
-                print(f"{tag} {workload} seed {seed}: {metrics}", flush=True)
+            for trace in traces:
+                for workload in workloads["workloads"]:
+                    result, env[tag] = run_once(trees[tag], workload, seed, seconds, trace)
+                    runs[tag, trace].setdefault(workload, []).append(
+                        dict(seed=seed, position=order.index(tag), **result))
+                    metrics = " ".join(f"{k}={v['value']:.4g}"
+                                       for k, v in result["metrics"].items())
+                    print(f"{tag} {workload} seed {seed} trace {trace}: {metrics}", flush=True)
     machine = {"platform": platform.platform(), "cpu": cpu_model()}
     out = {}
     for tag in tags:
-        per_workload = {}
-        for workload, items in runs[tag].items():
-            names = items[0]["metrics"]
-            per_workload[workload] = {
-                "runs": items,
-                "metrics": {m: dict(unit=items[0]["metrics"][m]["unit"],
-                                    **summary([r["metrics"][m]["value"] for r in items]))
-                            for m in names},
-                "failed": sum(r["failed"] for r in items),
-                "attempted": sum(r["attempted"] for r in items),
-            }
+        per_workload = {w: summarize(items) for w, items in runs[tag, 0].items()}
+        for workload, items in runs.get((tag, 1), {}).items():
+            per_workload[workload]["per_layer"] = summarize(items)
         out[tag] = {
             "tag": tag,
             "source": source_id(trees[tag]),
-            "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0",
+            "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0"
+                       + (", then --trace 1" if per_layer else ""),
             "seeds": seeds,
             "seconds": seconds,
             "trees_alternated": tags,
@@ -132,6 +149,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--per-layer", action="store_true",
+                        help="also record each workload's --trace 1 layer metrics")
     args = parser.parse_args(argv)
     trees = {}
     for item in args.trees:
@@ -139,7 +158,7 @@ def main(argv=None) -> int:
         if not sep or not tag or not (Path(tree) / "bench" / "run.py").is_file():
             parser.error(f"expected TAG=TREE with TREE/bench/run.py, got {item!r}")
         trees[tag] = Path(tree).resolve()
-    for tag, result in record(trees, args.seeds, args.seconds).items():
+    for tag, result in record(trees, args.seeds, args.seconds, args.per_layer).items():
         path = args.out_dir / f"BENCH_{tag}.json"
         path.write_text(json.dumps(result, indent=1) + "\n")
         print(f"wrote {path}")

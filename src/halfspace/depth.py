@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError, WeightedPointSet, as_point
+from .model import ConfigError, WeightedPointSet, as_point, row_groups
 from .rng import RngLike, make_rng
 
 ENGINES = ("auto", "exact1d", "sweep2d", "oracle", "sampled")
@@ -262,10 +262,7 @@ def _level_normals(off: np.ndarray, btol: float) -> tuple[np.ndarray, np.ndarray
     v, free = v[keep] / size[keep, None], free[keep]
     lead = np.argmax(np.abs(v) > 1e-9, axis=1)     # a unit vector has one
     np.negative(v, out=v, where=v[np.arange(len(v)), lead, None] < 0)
-    keys = np.round(v, 12) + 0.0
-    order = np.lexsort(keys.T[::-1])      # stable: the first of equal keys leads its run
-    keys = keys[order]
-    first = np.sort(order[np.concatenate(([True], np.any(keys[1:] != keys[:-1], axis=1)))])
+    first = np.sort(row_groups(np.round(v, 12))[0])
     return v[first], free[first]
 
 
@@ -633,16 +630,8 @@ def direction_lines(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negated row are the negated projections, bit for bit, so one row per
     line carries every cut of the battery.
     """
-    c = len(dirs)
-    negative = dirs[np.arange(c), np.argmax(dirs != 0.0, axis=1)] < 0.0
-    canon = np.where(negative[:, None], -dirs, dirs)    # -0.0 compares equal to 0.0
-    order = np.lexsort(canon.T[::-1])      # stable: a run of equal rows starts at its first
-    canon = canon[order]
-    starts = np.ones(c, dtype=bool)
-    starts[1:] = np.any(canon[1:] != canon[:-1], axis=1)
-    line = np.empty(c, dtype=np.intp)
-    line[order] = np.cumsum(starts) - 1
-    first = order[starts]
+    negative = dirs[np.arange(len(dirs)), np.argmax(dirs != 0.0, axis=1)] < 0.0
+    first, line = row_groups(np.where(negative[:, None], -dirs, dirs))
     twin = np.zeros(len(first), dtype=bool)
     twin[line[negative != negative[first[line]]]] = True
     by_first = np.argsort(first)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .depth import (_BUILD_PAIRS, _MASS_UNIT, _half_turn_sweep, _project_rows, direction_battery,
                     direction_lines, guard_resident, mass_units, sorted_suffix)
-from .model import NamedDistribution, WeightedPointSet, as_point
+from .model import NamedDistribution, WeightedPointSet, as_point, row_groups
 from .rng import RngLike, make_rng
 
 _INVERSE_TOL = 1e-10    # bisection width of numeric generalized inverses
@@ -226,12 +226,11 @@ def _signed_union(p: WeightedPointSet, q: WeightedPointSet) -> tuple[np.ndarray,
     p less those of q."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    points, inverse = np.unique(np.vstack([p.points, q.points]) + 0.0, axis=0,
-                                return_inverse=True)
-    units = np.zeros(len(points), dtype=np.int64)
-    np.add.at(units, inverse.ravel(),
-              np.concatenate([mass_units(p.weights), -mass_units(q.weights)]))
-    return points, units
+    union = np.vstack([p.points, q.points]) + 0.0
+    first, group = row_groups(union)
+    units = np.zeros(len(first), dtype=np.int64)
+    np.add.at(units, group, np.concatenate([mass_units(p.weights), -mass_units(q.weights)]))
+    return union[first], units
 
 
 def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:

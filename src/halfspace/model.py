@@ -52,6 +52,19 @@ def as_direction(v, normalize: bool = False) -> np.ndarray:
     return d
 
 
+def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The equal rows of ``rows`` (n, d), a signed zero equal to its twin, by
+    one stable ``np.lexsort`` and its run starts: ``(first, group)``, the
+    index of each group's first row in lexicographic order, and each row's."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedPointSet:
     """Finite discrete distribution: n points in R^d with weights summing to 1."""
@@ -111,10 +124,9 @@ class WeightedPointSet:
     def consolidate(self) -> "WeightedPointSet":
         """Merge atoms with exactly equal coordinates (weights added).
 
-        Output atoms are in lexicographic coordinate order, the weights of a
-        merged atom are added in ascending order, and a zero coordinate is
-        +0.0 (``np.unique`` keeps whichever signed zero sorts first), so the
-        result does not depend on the input order.
+        Atoms come in lexicographic order, a merged atom's weights are added
+        in ascending order, and a zero coordinate is +0.0, so the result does
+        not depend on the input order.
 
         A set that is already merged (no -0.0, and every atom strictly above
         the one before it in lexicographic order, checked in O(n d) with no
@@ -131,11 +143,11 @@ class WeightedPointSet:
             if np.all(pts[rows + 1, first] > pts[rows, first]):
                 object.__setattr__(self, "_merged", True)
                 return self
-        uniq, inverse = np.unique(self.points, axis=0, return_inverse=True)
-        w = np.zeros(uniq.shape[0])
+        first, group = row_groups(pts)
+        w = np.zeros(first.size)
         ascending = np.argsort(self.weights)
-        np.add.at(w, inverse.ravel()[ascending], self.weights[ascending])
-        merged = WeightedPointSet(uniq + 0.0, w)
+        np.add.at(w, group[ascending], self.weights[ascending])
+        merged = WeightedPointSet(pts[first] + 0.0, w)
         object.__setattr__(merged, "_merged", True)
         return merged
 

@@ -14,7 +14,8 @@ Each pattern search minimizes its own floored copy of the objective
 (``_BatteryObjective.floored``), whatever the template: a probe that cannot
 beat the search's incumbent costs the directions it takes to prove it,
 often one, and gets a lower bound at or above the incumbent, so the search
-takes the same path and returns the same bits as with exact values.
+takes the same path and returns the same bits as with exact values. Without
+a floor nothing stops, so the battery goes to the kernels in one span.
 
 Inside a direction, a continuous (Gaussian or uniform-ball) template is
 first evaluated at every ceil(sqrt(n))-th sorted projection. The sorted row
@@ -143,13 +144,13 @@ class _BatteryObjective:
     Construction refuses (:func:`~halfspace.depth.guard_resident`) a battery
     whose resident arrays would take too much memory.
 
-    Every evaluation runs through :meth:`_sup`, which takes directions in
-    the blocks of :func:`~halfspace.depth.direction_blocks` and hands each
-    block to the template's kernel, so no temporary is (n, c). Calling the
-    objective, or :meth:`batch`, gives exact values; ``floored()`` gives the
-    objective one pattern search minimizes, which stops evaluating a center
-    once it cannot beat that search's incumbent. Both go through the same
-    kernels.
+    Every evaluation runs through :meth:`_sup`, which hands directions to
+    the template's kernel in parts, so no temporary is (n, c); under a
+    floor the parts are the blocks of
+    :func:`~halfspace.depth.direction_blocks`. Calling the objective, or
+    :meth:`batch`, gives exact values; ``floored()`` gives the objective
+    one pattern search minimizes, which stops evaluating a center once it
+    cannot beat that search's incumbent. Both go through the same kernels.
     """
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
@@ -217,13 +218,10 @@ class _BatteryObjective:
         return np.pad(rows, ((0, 0), (0, width - n)), mode="edge"), table
 
     def _project(self, mus: np.ndarray) -> np.ndarray:
-        """(m, c) battery projections of the centers ``mus`` (m, d), one
-        matrix-vector product per center: a product over stacked centers
-        may round differently."""
-        t0 = np.empty((len(mus), len(self.dirs)))
-        for i, mu in enumerate(mus):
-            t0[i] = self.dirs @ mu
-        return t0
+        """(m, c) battery projections of the centers ``mus`` (m, d) by one
+        stacked product: numpy's matmul loop makes the product ``dirs @ mu``
+        per center, so a row has its bits, which (m, d) @ (d, c) may not."""
+        return (self.dirs[None] @ mus[:, :, None])[..., 0]
 
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:
         """Continuous template CDF at center-relative projection values;
@@ -304,10 +302,10 @@ class _BatteryObjective:
     def _sup(self, t0: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
              per_direction: np.ndarray | None = None) -> np.ndarray:
         """Running max of the per-direction sup distances at the centers whose
-        battery projections are the rows of ``t0`` (m, c), over the blocks of
-        :func:`~halfspace.depth.direction_blocks` of directions taken in
-        ``order`` (battery order if None). A center drops out once its
-        running max reaches ``floor``.
+        battery projections are the rows of ``t0`` (m, c), over directions
+        taken in ``order`` (battery order if None): in the blocks of
+        :func:`~halfspace.depth.direction_blocks`, a center dropping out once
+        its running max reaches ``floor``, or in one span with no floor.
 
         Returns the (m,) values, and fills the kernels' per-direction values
         into ``per_direction`` (m, c) when the caller passes one: exact for
@@ -316,17 +314,16 @@ class _BatteryObjective:
         ``floor`` is the exact objective; otherwise it is a lower bound on
         the objective that is at least ``floor``. Each block is handed to
         the template's kernel with each center's running max, in parts of
-        at most ``_TEMP_BYTES`` of temporaries. Neither the block order nor
-        the parts change the bits of a value: each entry is computed on its
-        own, and a max is exact.
+        at most ``_TEMP_BYTES`` of temporaries. Neither the blocks, their
+        order nor the parts change the bits of a value: each entry is
+        computed on its own, and a max is exact.
         """
         m, c = t0.shape
-        if order is None:
-            order = np.arange(c)
+        order = np.arange(c) if order is None else order
         pairs = max(1, _TEMP_BYTES // self._pair_bytes)   # (center, direction) pairs per part
         values = np.zeros(m)
         live = np.arange(m)
-        for span in direction_blocks(c):
+        for span in direction_blocks(c) if floor < math.inf else [slice(0, c)]:
             live = live[values[live] < floor]
             if not live.size:
                 break
@@ -370,7 +367,7 @@ class _BatteryObjective:
 
         Each call goes through :meth:`_sup` at once, against the floor at
         the start of the call; the least exact value below it then becomes
-        the floor.
+        the floor; the first call has none, so it prunes nothing.
 
         ``pattern_search_min`` accepts a probe only when it is strictly below
         ``fx``, which is this floor, so it accepts the same probes, with the

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfspace as hs
-from halfspace.model import WeightedPointSet
+from halfspace.model import WeightedPointSet, row_groups
 
 
 def square3d() -> WeightedPointSet:
@@ -67,6 +67,34 @@ class TestWeightedPointSet:
         monkeypatch.setattr(np, "signbit", lambda *a: pytest.fail("merged set checked again"))
         assert ordered.consolidate() is ordered
         assert built.consolidate() is built
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 4), st.sampled_from([0.0, 1e7]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_consolidate_equals_the_unique_reference(self, n, d, shift, seed):
+        # few distinct atoms, each repeated, with -0.0 beside 0.0 and weights
+        # over six decades; the reference is the np.unique merge
+        rng = np.random.default_rng(seed)
+        atoms = rng.integers(-2, 3, size=(rng.integers(1, 6), d)) * 0.5 + shift
+        pts = atoms[rng.integers(0, len(atoms), n)]
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+        w = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        p = WeightedPointSet(pts, w / w.sum())
+        uniq, inverse = np.unique(p.points, axis=0, return_inverse=True)
+        want = np.zeros(len(uniq))
+        ascending = np.argsort(p.weights)
+        np.add.at(want, inverse.ravel()[ascending], p.weights[ascending])
+        perm = rng.permutation(n)
+        for q in (p, WeightedPointSet(p.points[perm], p.weights[perm])):
+            merged = q.consolidate()
+            assert merged.points.tobytes() == (uniq + 0.0).tobytes()
+            assert merged.weights.tobytes() == want.tobytes()
+
+    def test_row_groups_keep_the_first_of_equal_rows(self):
+        rows = np.array([[1.0, -0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 2.0], [-1.0, 5.0]])
+        first, group = row_groups(rows)
+        assert first.tolist() == [4, 1, 0]
+        assert group.tolist() == [2, 1, 2, 1, 0]
 
     def test_csv_round_trip_is_exact(self):
         rng = hs.make_rng(0)

@@ -314,21 +314,78 @@ class TestDiscreteKernel:
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
         assert got.tobytes() == want.tobytes()
 
-    def test_a_batch_of_centers_takes_one_call_per_direction_block(self, monkeypatch):
-        # each (center, direction) pair needs O(k) temporaries, so a block
-        # of directions goes to the kernel whole, for every center at once
+    def test_a_floor_free_batch_takes_the_battery_in_bounded_parts(self, monkeypatch):
+        # without a floor no center can stop, so the battery is one span, cut
+        # only into parts of at most _TEMP_BYTES // _pair_bytes pairs
         p = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 1000, rng=1)
         objective = _BatteryObjective(hs.square_template_family(), p, 128, hs.make_rng(0))
         calls = []
         kernel = objective._discrete_block
         monkeypatch.setattr(objective, "_discrete_block",
-                            lambda t0, cols: calls.append(t0.shape) or kernel(t0, cols))
+                            lambda t0, cols: calls.append((len(t0), cols.tolist()))
+                            or kernel(t0, cols))
         centers = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
-        values = objective.batch(centers)
         c = len(objective.dirs)
-        assert calls == [(4, len(range(c)[s])) for s in depth.direction_blocks(c)]
         whole = kernel(objective._project(centers), np.arange(c))
-        assert values.tobytes() == whole.max(axis=1).tobytes()
+        battery, half = list(range(c)), (c + 1) // 2
+        for pairs, want in [(projection._TEMP_BYTES // objective._pair_bytes, [(4, battery)]),
+                            (2 * c + 1, [(2, battery)] * 2), (c, [(1, battery)] * 4),
+                            (half, [(1, battery[:half])] * 4 + [(1, battery[half:])] * 4)]:
+            monkeypatch.setattr(projection, "_TEMP_BYTES", pairs * objective._pair_bytes)
+            calls.clear()
+            values = objective.batch(centers)
+            assert calls == want
+            assert values.tobytes() == whole.max(axis=1).tobytes()
+
+
+@st.composite
+def all_template_cases(draw):
+    """A Gaussian, uniform-ball or square-template case, with the sample
+    and centers of :func:`continuous_cases` or :func:`discrete_cases`."""
+    if draw(st.booleans()):
+        return draw(continuous_cases())
+    return (hs.square_template_family(), *draw(discrete_cases()))
+
+
+class TestFloorFreeSpan:
+    @settings(max_examples=60, deadline=None)
+    @given(all_template_cases(), st.sampled_from([8, 128]), st.integers(0, 3))
+    def test_one_span_has_the_bits_of_the_block_walk(self, case, budget, seed):
+        family, p, centers = case
+        objective = _BatteryObjective(family, p, budget, hs.make_rng(seed))
+        t0 = objective._project(centers)
+        # no value reaches 2.0, so the floored call still walks the blocks
+        walked = objective._sup(t0, floor=2.0)
+        assert np.all(walked < 2.0)
+        assert objective._sup(t0).tobytes() == walked.tobytes()
+
+
+@st.composite
+def battery_and_centers(draw):
+    """Unit rows (c, d) with signed zeros, and (m, d) centers whose
+    coordinates range from 1e-9 to 1e7 in size, either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, c, m = draw(st.integers(1, 5)), draw(st.integers(1, 600)), draw(st.integers(1, 64))
+    dirs = rng.standard_normal((c, d))
+    dirs[rng.random((c, d)) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    size = np.linalg.norm(dirs, axis=1)
+    dirs[size == 0.0, 0] = 1.0
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    mus = rng.choice([-1.0, 1.0], (m, d)) * 10.0 ** rng.uniform(-9.0, 7.0, (m, d))
+    return dirs, mus
+
+
+class TestStackedProjection:
+    @settings(max_examples=80, deadline=None)
+    @given(battery_and_centers())
+    def test_has_the_bits_of_one_product_per_center(self, case):
+        # a numpy or BLAS build that rounds a stacked product differently
+        # from a lone matrix-vector product fails here
+        dirs, mus = case
+        objective = object.__new__(_BatteryObjective)
+        objective.dirs = dirs
+        want = np.array([dirs @ mu for mu in mus])
+        assert objective._project(mus).tobytes() == want.tobytes()
 
 
 class TestFlooredSearch:
