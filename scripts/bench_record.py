@@ -2,25 +2,21 @@
 
 Usage (from the repository root)::
 
-    python3 scripts/bench_record.py --seeds 1 2 3 --seconds 20 [--per-layer] 20=. 19=../parent
+    python3 scripts/bench_record.py --seeds 1 2 3 --seconds 20 20=. 19=../parent
 
 Each ``TAG=TREE`` names a checkout that holds ``bench/run.py`` and
 ``src/halfspace``. For every seed and every workload of the tree's
 ``bench/workloads.json``, each tree runs
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` in
-turn; the order of the trees rotates with the seed, so that drift in
-machine speed falls on every tree alike. ``BENCH_<tag>.json`` (in
-``--out-dir``) then holds, per workload, every run's result line (the
-six end-to-end metrics, ``correct``, ``attempted`` and ``failed``) and
-each metric's median and quartiles, with the machine and library versions
-the benchmark reports, the tree's git description and source digest, and
-the line count of each ``src/halfspace/*.py``.
-
-``--per-layer`` also runs ``bench/run.py ... --trace 1`` for every seed
-and workload of each tree, right after its ``--trace 0`` runs, and stores
-those result lines and the median and quartiles of each per-layer metric
-(``projection.objective_s``, ``optimize.objective_calls``, ...) beside the
-end-to-end ones.
+``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` and
+then the same with ``--trace 1``, in turn; the order of the trees rotates
+with the seed, so that drift in machine speed falls on every tree alike.
+``BENCH_<tag>.json`` (in ``--out-dir``) then holds, per workload, every
+run's result line (the six end-to-end metrics, ``correct``, ``attempted``
+and ``failed``) and each metric's median and quartiles, the same for the
+per-layer metrics of the ``--trace 1`` runs (``projection.objective_s``,
+``optimize.objective_calls``, ...) under ``per_layer``, with the machine
+and library versions the benchmark reports, the tree's git description and
+source digest, and the line count of each ``src/halfspace/*.py``.
 
 ``--seconds 0`` runs each workload's minimum trial count: a smoke run
 that only shows the recorder and the benchmark still work together.
@@ -104,17 +100,15 @@ def summarize(items: list[dict]) -> dict:
     }
 
 
-def record(trees: dict[str, Path], seeds: list[int], seconds: float,
-           per_layer: bool = False) -> dict[str, dict]:
+def record(trees: dict[str, Path], seeds: list[int], seconds: float) -> dict[str, dict]:
     tags = list(trees)
-    traces = (0, 1) if per_layer else (0,)
-    runs = {(tag, trace): {} for tag in tags for trace in traces}
+    runs = {(tag, trace): {} for tag in tags for trace in (0, 1)}
     env = {}
     for i, seed in enumerate(seeds):
         order = tags[i % len(tags):] + tags[:i % len(tags)]
         for tag in order:
             workloads = json.loads((trees[tag] / "bench" / "workloads.json").read_text())
-            for trace in traces:
+            for trace in (0, 1):
                 for workload in workloads["workloads"]:
                     result, env[tag] = run_once(trees[tag], workload, seed, seconds, trace)
                     runs[tag, trace].setdefault(workload, []).append(
@@ -126,13 +120,13 @@ def record(trees: dict[str, Path], seeds: list[int], seconds: float,
     out = {}
     for tag in tags:
         per_workload = {w: summarize(items) for w, items in runs[tag, 0].items()}
-        for workload, items in runs.get((tag, 1), {}).items():
+        for workload, items in runs[tag, 1].items():
             per_workload[workload]["per_layer"] = summarize(items)
         out[tag] = {
             "tag": tag,
             "source": source_id(trees[tag]),
-            "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0"
-                       + (", then --trace 1" if per_layer else ""),
+            "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0,"
+                       " then --trace 1",
             "seeds": seeds,
             "seconds": seconds,
             "trees_alternated": tags,
@@ -149,8 +143,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
-    parser.add_argument("--per-layer", action="store_true",
-                        help="also record each workload's --trace 1 layer metrics")
     args = parser.parse_args(argv)
     trees = {}
     for item in args.trees:
@@ -158,7 +150,7 @@ def main(argv=None) -> int:
         if not sep or not tag or not (Path(tree) / "bench" / "run.py").is_file():
             parser.error(f"expected TAG=TREE with TREE/bench/run.py, got {item!r}")
         trees[tag] = Path(tree).resolve()
-    for tag, result in record(trees, args.seeds, args.seconds, args.per_layer).items():
+    for tag, result in record(trees, args.seeds, args.seconds).items():
         path = args.out_dir / f"BENCH_{tag}.json"
         path.write_text(json.dumps(result, indent=1) + "\n")
         print(f"wrote {path}")
