@@ -14,7 +14,9 @@ the infimum over directions ``v`` of the closed-halfspace mass
   resolving atoms on the boundary hyperplane combinatorially (re-scoring
   with rotatable boundary atoms excluded), never by numeric perturbation;
 * :func:`depth_sampled` -- a certified upper bound: the minimum over a
-  seeded direction battery, which always contains atom-anchored normals.
+  seeded direction battery, which always contains atom-anchored normals;
+  :class:`BatteryScorer` is the same bound for many queries, and both cut
+  by :func:`_cut_keys`, which moves each key by a bound on its rounding.
 
 Atoms coincident with ``mu`` lie on every boundary hyperplane and are always
 counted; they can never be rotated off. Every engine reports an int64 sum
@@ -543,32 +545,31 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     infimum for atomic distributions is attained on atom-anchored normals,
     the augmentation makes many instances exact.
 
-    Every mass counts each atom that rounding cannot place strictly below
-    the hyperplane, so it is at least the exact closed mass along its
-    direction, hence at least the depth, even when an atom lies on the
-    boundary in exact arithmetic."""
+    It has the bits of :class:`BatteryScorer` on the same battery, without
+    a resident scorer: the battery's lines are projected and cut by
+    :func:`_cut_keys` in chunks of about ``_BUILD_PAIRS`` projections. The
+    witness is the first line of least mass, its +v side first."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mu = as_point(mu)
     if mu.shape[0] != p.dim:
         raise ValueError("query point dimension mismatch")
-    gen = make_rng(rng)
-    offsets = p.points - mu
-    # the float offset and dot product are each within (d + 1) * 2**-53 *
-    # |o|.|v| of the exact v.(x_i - mu): an atom no further below counts
-    reach = (p.dim + 2) * np.finfo(float).eps * np.abs(offsets)
-    dirs = direction_battery(p.points, budget, gen, anchor="offset", mu=mu)
-    best_value = math.inf
-    best_v, best_closed = dirs[0], np.ones(p.size, dtype=bool)
-    for chunk in np.array_split(dirs, min(len(dirs), len(dirs) * p.size // 2_000_000 + 1)):
-        closed = offsets @ chunk.T >= -(reach @ np.abs(chunk.T))
-        masses = closed.T @ p.weights
-        i = int(np.argmin(masses))
-        if masses[i] < best_value:
-            best_value = float(masses[i])
-            best_v, best_closed = chunk[i], closed[:, i]
-    closed = mass_units(p.weights)[best_closed].sum()
-    return DepthResult(float(closed * _MASS_UNIT), best_v, "sampled")
+    dirs = direction_battery(p.points, budget, make_rng(rng), anchor="offset", mu=mu)
+    rows, twin = direction_lines(dirs)
+    lines, units = dirs[rows], mass_units(p.weights)
+    total, reach = units.sum(), np.abs(p.points).max()
+    masses = np.full((len(lines), 2), _NO_UNITS)          # along v, along -v
+    step = max(1, _BUILD_PAIRS // p.size)
+    for start in range(0, len(lines), step):
+        part = slice(start, start + step)
+        low, high = _cut_keys(lines[part], mu[None, :], reach)
+        proj = _project_rows(p.points, lines[part])
+        masses[part, 0] = _compare_units(proj, units, low)[:, 0]
+        both = np.flatnonzero(twin[part])
+        masses[start + both, 1] = total - _compare_units(proj[both], units, high[both])[:, 0]
+    best = int(np.argmin(masses))
+    witness = lines[best // 2] * (1.0 - 2.0 * (best % 2))
+    return DepthResult(float(masses.flat[best] * _MASS_UNIT), witness, "sampled")
 
 
 def direction_blocks(c: int):
@@ -600,13 +601,12 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
     to ``out`` when it is given.
 
     The sum runs coordinate by coordinate, so every entry has the same bits
-    whatever else is in the batch; a matrix product may round a lone row
-    differently, which would let a query on an atom miss its own weight.
-    Each coordinate's products are one outer product of two contiguous
-    columns (``np.einsum`` without a summed index: one rounding each, and
-    faster than a broadcast multiply), added through one temporary. A
-    negated direction gives the negated sums; a zero sum may have either
-    sign, which no comparison sees.
+    whatever else is in the batch (a matrix product may round a lone row
+    differently); :func:`_cut_keys` bounds its rounding. Each coordinate's
+    products are one outer product of two contiguous columns (``np.einsum``
+    without a summed index: one rounding each, and faster than a broadcast
+    multiply), added through one temporary. A negated direction gives the
+    negated sums; a zero sum may have either sign, which no comparison sees.
     """
     cols, weights = np.ascontiguousarray(points.T), np.ascontiguousarray(dirs.T)
     if out is None:
@@ -618,6 +618,25 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
             np.einsum("j,n->jn", weights[k], cols[k], out=term)
             out += term
     return out
+
+
+def _cut_keys(lines: np.ndarray, queries: np.ndarray,
+              reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one rounding rule of every sampled mass: (b, m) keys ``(low,
+    high)`` of ``queries`` (m, d) on ``lines`` (b, d) for atoms of
+    coordinates at most ``reach`` in size. The closed mass along v is at
+    most the units whose :func:`_project_rows` value is at least ``low``,
+    and along -v the units below ``high``. A coordinate-wise sum is within
+    (d·eps/2)·|v|_1·|x|_inf, to first order, of the exact dot product
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1);
+    the shift (d + 1)·eps·|v|_1·(reach + |q|_inf) is over twice that bound
+    for both projections, so, barring underflow, no rounding of the atom,
+    the query or the shift drops an atom on the boundary."""
+    keys = _project_rows(queries, lines)
+    shift = np.multiply.outer((lines.shape[1] + 1) * np.finfo(float).eps
+                              * np.abs(lines).sum(axis=1),
+                              reach + np.abs(queries).max(axis=1))
+    return keys - shift, np.nextafter(keys + shift, math.inf)
 
 
 def direction_lines(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -734,10 +753,9 @@ class BatteryScorer:
     (:func:`direction_lines`): a row and its negation share one line, which
     is projected once and sorted at most once, and both sides of a cut are
     read from it, as the planar sweep reads M and W - M from one sort
-    (Rousseeuw & Ruts, AS 307). At a query's key k on a line v, the closed
-    mass along v is the units at or above k and, where the battery holds
-    -v, the closed mass along -v is the units at or below k; negation is
-    exact, so both have the bits of their own rows.
+    (Rousseeuw & Ruts, AS 307): by :func:`_cut_keys`, the mass along v is
+    the units at or above ``low`` and, where the battery holds -v, the mass
+    along -v is the units below ``high``, each at least the exact mass.
 
     The lines are projected coordinate by coordinate, straight into one
     (u, n) array, in chunks of lines. A line is sorted in place, with its
@@ -765,6 +783,7 @@ class BatteryScorer:
         self._lines = dirs[rows]
         self._units = mass_units(p.weights)
         self._total = self._units.sum()
+        self._reach = np.abs(p.points).max()
         self._proj = np.empty((u, n))
         # lines fill in only as they are sorted
         self._suffix = np.empty((u, n + 1), dtype=np.int64)
@@ -784,32 +803,29 @@ class BatteryScorer:
             self._proj[rows], self._suffix[rows] = sorted_suffix(self._proj[rows], self._units)
         self._ranked[block] = True
 
-    def _least_units(self, block: slice, keys: np.ndarray, least: np.ndarray) -> np.ndarray:
+    def _least_units(self, block: slice, low: np.ndarray, high: np.ndarray,
+                     least: np.ndarray) -> np.ndarray:
         """The running minima ``least`` (m,) lowered to the least closed
         mass, in units, along the directions of the lines of ``block`` at
-        each column of ``keys`` (b, m)."""
-        lines = np.arange(block.start, block.start + len(keys))
+        the :func:`_cut_keys` columns ``low`` and ``high`` (b, m)."""
+        lines = np.arange(block.start, block.start + len(low))
         twin = self._twin[block]
         if self._ranked[block.start]:
-            upper = self._suffix[lines[:, None], row_searchsorted(self._proj, keys, lines)]
+            upper = self._suffix[lines[:, None], row_searchsorted(self._proj, low, lines)]
             least = np.minimum(least, upper.min(axis=0))
             if twin.any():
-                # the units at or below k: all but those above it
-                above = np.nextafter(keys[twin], math.inf)
-                below = self._suffix[lines[twin][:, None],
-                                     row_searchsorted(self._proj, above, lines[twin])]
-                least = np.minimum(least, (self._total - below).min(axis=0))
+                above = self._suffix[lines[twin][:, None],
+                                     row_searchsorted(self._proj, high[twin], lines[twin])]
+                least = np.minimum(least, (self._total - above).min(axis=0))
             return least
-        upper = _compare_units(self._proj[block], self._units, keys)
+        upper = _compare_units(self._proj[block], self._units, low)
         least = np.minimum(least, upper.min(axis=0))
-        # along -v the mass is at least W - upper (the units tied at k come
-        # on top), so only a line where that is below the least is counted,
-        # as the units of -p at or above -k
+        # along -v the mass is at least W - upper (high is above low), so
+        # only a line where that is below the least is counted
         rows = np.flatnonzero(twin & (self._total - upper < least).any(axis=1))
         if rows.size:
-            flipped = self._proj[lines[rows]]
-            np.negative(flipped, out=flipped)
-            least = np.minimum(least, _compare_units(flipped, self._units, -keys[rows]).min(axis=0))
+            above = _compare_units(self._proj[lines[rows]], self._units, high[rows])
+            least = np.minimum(least, (self._total - above).min(axis=0))
         return least
 
     def bounded_scores(self, candidates: np.ndarray, floor: float = -math.inf) -> np.ndarray:
@@ -840,8 +856,8 @@ class BatteryScorer:
             cols = max(1, _SCORE_PAIRS // len(dirs))
             for at in range(0, live.size, cols):
                 part = live[at:at + cols]
-                keys = _project_rows(candidates[part], dirs)
-                least[part] = self._least_units(block, keys, least[part])
+                low, high = _cut_keys(dirs, candidates[part], self._reach)
+                least[part] = self._least_units(block, low, high, least[part])
             live = live[least[live] * _MASS_UNIT >= floor]
         return np.where(least < _NO_UNITS, least * _MASS_UNIT, math.inf)
 

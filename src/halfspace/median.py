@@ -38,14 +38,16 @@ class MedianResult:
 
 def weighted_median_interval(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Endpoints of the weighted median set: points whose closed one-sided
-    masses are both >= 1/2. A zero endpoint is +0.0, whichever signed zero
-    sorts first."""
+    masses are both at least half the total, less 1e-12 for ties. The two
+    masses at adjacent ranks add up to the total, so ``lo <= hi`` for any
+    weights. A zero endpoint is +0.0, whichever signed zero sorts first."""
     (v,), (suffix,) = sorted_suffix(values[None, :], mass_units(weights))
     # the mass at or below rank i is the total less the mass from rank i + 1
     lower = (suffix[0] - suffix[1:]) * _MASS_UNIT
     upper = suffix[:-1] * _MASS_UNIT
-    lo = float(v[int(np.argmax(lower >= 0.5 - 1e-12))])
-    hi = float(v[len(v) - 1 - int(np.argmax((upper >= 0.5 - 1e-12)[::-1]))])
+    half = 0.5 * suffix[0] * _MASS_UNIT - 1e-12
+    lo = float(v[int(np.argmax(lower >= half))])
+    hi = float(v[len(v) - 1 - int(np.argmax((upper >= half)[::-1]))])
     return lo + 0.0, hi + 0.0
 
 

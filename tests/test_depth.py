@@ -311,6 +311,27 @@ class TestEnginesAgainstLpReference:
                 assert hs.depth_2d_sweep(p, q).value == want
             assert hs.depth_sampled(p, q, budget=64, rng=0).value >= want
 
+    @given(lattice_cases(), st.integers(0, 3))
+    # the atoms and the query (the midpoint of the second and third atoms)
+    # lie on one plane, and the battery holds its normal up to rounding:
+    # comparing the float projections dropped every atom from the closed
+    # halfspace along it and read 0.0, where the depth is 0.0625
+    @example(case=(WeightedPointSet(np.array([[-2.0, 1.0, 0.0], [1.0, 2.0, 5.0],
+                                              [2.0, -1.0, 0.0], [4.0, -2.0, 0.0]]),
+                                    np.array([11, 1, 2, 2]) / 16.0),
+                   np.array([[1.5, 0.5, 2.5]])), seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_scorer_bounds_it_at_or_above_its_floor(self, case, seed):
+        p, queries = case
+        scorer = BatteryScorer(p, hs.direction_battery(p.points, 64, hs.make_rng(seed),
+                                                       anchor="difference"))
+        want = np.array([lp_depth(p, q) for q in queries])
+        scores = scorer.scores(queries)
+        assert np.all(scores >= want)
+        for floor in np.unique(scores):
+            got = scorer.bounded_scores(queries, floor)
+            assert np.all(got[got >= floor] >= want[got >= floor])
+
 
 class TestDepthSampled:
     def test_square_3d_is_exact(self):
@@ -336,9 +357,43 @@ class TestDepthSampled:
             hs.depth_sampled(SQUARE_2D, [0.0, 0.0], budget=0)
 
     def test_more_atoms_than_one_chunk_per_direction(self):
-        # above 2e6 atoms each direction is its own chunk; none is empty
+        # above _BUILD_PAIRS atoms each line is its own chunk; none is empty
         p = uniform(np.arange(2_000_001, dtype=float)[:, None])
         assert hs.depth_sampled(p, [1.0], budget=1).value == pytest.approx(2 / 2_000_001)
+
+    @given(lattice_cases(), st.integers(0, 3))
+    # the query is the midpoint of the first and third atoms: a scorer that
+    # compared float projections dropped both from the closed halfplane
+    # whose boundary holds them and read 0.0, where the sampled engine's
+    # own float cut read the depth 0.0625
+    @example(case=(WeightedPointSet(np.array([[0.0, -1.0], [0.0, 0.0], [-2.0, -2.0]]),
+                                    np.array([1, 1, 14]) / 16.0),
+                   np.array([[-1.0, -1.5]])), seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_scorer_on_its_offset_battery(self, case, seed):
+        # one cut rule: the same bits as a resident scorer on the battery
+        # depth_sampled draws, and a witness along which the mass is read
+        p, queries = case
+        for q in queries:
+            got = hs.depth_sampled(p, q, budget=64, rng=seed)
+            dirs = hs.direction_battery(p.points, 64, hs.make_rng(seed), anchor="offset", mu=q)
+            want = BatteryScorer(p, dirs).score(q)
+            assert np.float64(got.value).tobytes() == np.float64(want).tobytes()
+            assert any(np.array_equal(got.witness, v) for v in dirs)
+
+    def test_memory_does_not_grow_with_lines_times_atoms(self):
+        # criterion 2's far point: n = 5001 and about 20,000 lines, so a
+        # (lines, n) mask alone would take 100 MB
+        clean = hs.sample(hs.NamedDistribution.ball(np.zeros(3), 1.0), 5000, rng=12345)
+        p = hs.additive_corrupt(clean, 1.0 / 3.0, WeightedPointSet.delta([100.0, 0.0, 0.0]))
+        tracemalloc.start()
+        try:
+            value = hs.depth_sampled(p, [100.0, 0.0, 0.0], budget=10_000, rng=1).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1.0 / 3.0)
+        assert peak < 8_000_000
 
 
 class TestEngineAgreement:
@@ -588,9 +643,9 @@ class TestBatteryScorer:
         want = self.column_layout_scores(p, dirs, queries)
         assert scorer.scores(queries).tobytes() == want.tobytes()
         # a lone query gets the bits of its row in any batch (2000 queries
-        # span several projection blocks per chunk), so an atom scored alone
-        # keeps its own weight and stays a genuine closed-halfspace mass; the
-        # slack covers only the order of summing the weights
+        # span several projection blocks per chunk), and an atom scored
+        # alone keeps its own weight; the slack covers only the order of
+        # summing the weights
         batch = scorer.scores(pts)
         for q, row in zip(pts[:200], batch):
             one = scorer.score(q)
@@ -639,13 +694,20 @@ def per_direction_masses(p, dirs, queries):
     """Reference: the (m, c) closed masses of ``p`` at each of the
     ``queries`` (m, d) along each direction of ``dirs``, by brute force in
     fixed point: the weights rounded to int64 units of 2**-60, summed
-    exactly over the atoms whose projection is at least the query's, and
-    converted to float once."""
+    exactly over the atoms whose projection is at least the query's less
+    the rounding bound (d + 1)·eps·|v|_1·(max |x| + |q|_inf), and converted
+    to float once."""
     units = np.rint(p.weights * 2.0 ** 60).astype(np.int64)
+    queries = np.atleast_2d(queries)
     atoms = depth._project_rows(p.points, dirs)
-    keys = depth._project_rows(np.atleast_2d(queries), dirs)
-    return np.array([np.where(atoms >= key[:, None], units, 0).sum(axis=1)
-                     for key in keys.T]) * 2.0 ** -60
+    keys = depth._project_rows(queries, dirs)
+    reach, eps = np.abs(p.points).max(), np.finfo(float).eps
+    masses = []
+    for q, key in zip(queries, keys.T):
+        shift = np.array([(p.dim + 1) * eps * np.abs(v).sum() * (reach + np.abs(q).max())
+                          for v in dirs])
+        masses.append(np.where(atoms >= (key - shift)[:, None], units, 0).sum(axis=1))
+    return np.array(masses) * 2.0 ** -60
 
 
 @st.composite

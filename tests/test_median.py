@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfspace as hs
 from halfspace import depth
 from halfspace.depth import BatteryScorer, _project_rows
-from halfspace.model import ConfigError, WeightedPointSet
+from halfspace.median import weighted_median_interval
+from halfspace.model import WEIGHT_TOL, ConfigError, WeightedPointSet
 
 
 def uniform(points) -> WeightedPointSet:
@@ -30,6 +33,26 @@ class TestMedian1d:
         for _ in range(50):
             p = uniform(rng.standard_normal((int(rng.integers(1, 15)), 1)))
             assert hs.median_1d(p).achieved_depth >= 0.5 - 1e-12
+
+
+class TestWeightedMedianInterval:
+    def test_halves_just_below_one_half(self):
+        # a valid set whose total is 1 - 6e-10: neither side reaches
+        # 1/2 - 1e-12, so comparing with 1/2 inverted the interval
+        w = np.full(2, 0.5 - 3e-10)
+        assert abs(w.sum() - 1.0) <= WEIGHT_TOL
+        assert weighted_median_interval(np.array([0.0, 1.0]), w) == (0.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 9)), min_size=1, max_size=12),
+           st.floats(-WEIGHT_TOL, WEIGHT_TOL))
+    def test_never_inverted(self, atoms, excess):
+        # tied values and totals anywhere within the weight tolerance
+        values = np.array([v for v, _ in atoms], dtype=float)
+        w = np.array([k for _, k in atoms], dtype=float)
+        w *= (1.0 + excess) / w.sum()
+        lo, hi = weighted_median_interval(values, w)
+        assert lo <= hi
 
 
 class TestMedianCandidates:
@@ -89,6 +112,16 @@ class TestMedianCandidates:
         a = hs.median_candidates(p, engine="sampled", budget=128, rng=5)
         b = hs.median_candidates(p, engine="sampled", budget=128, rng=5)
         assert np.array_equal(a.point, b.point) and a.achieved_depth == b.achieved_depth
+
+    def test_sampled_depth_bounds_the_depth_at_its_point(self):
+        # the point is the midpoint of two atoms, and the battery holds
+        # normals orthogonal to atom differences: comparing float projections
+        # dropped atoms on a boundary and reported 7/31 for the depth 8/31
+        pts = np.array([[-2, 0, -1], [-1, 2, 1], [-2, 2, 0], [1, 0, 2], [2, 0, -2],
+                        [-1, -1, -2], [-2, 2, -2]], dtype=float)
+        p = WeightedPointSet(pts, np.array([2, 7, 6, 2, 5, 6, 3]) / 31.0)
+        r = hs.median_candidates(p, engine="sampled", budget=64, rng=263)
+        assert r.achieved_depth >= hs.depth_oracle(p, r.point).value
 
 
 class TestMedianRefine:
