@@ -10,13 +10,14 @@ Each ``TAG=TREE`` names a checkout that holds ``bench/run.py`` and
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` and
 then the same with ``--trace 1``, in turn; the order of the trees rotates
 with the seed, so that drift in machine speed falls on every tree alike.
-``BENCH_<tag>.json`` (in ``--out-dir``) then holds, per workload, every
-run's result line (the six end-to-end metrics, ``correct``, ``attempted``
-and ``failed``) and each metric's median and quartiles, the same for the
-per-layer metrics of the ``--trace 1`` runs (``projection.objective_s``,
-``optimize.objective_calls``, ...) under ``per_layer``, with the machine
-and library versions the benchmark reports, the tree's git description and
-source digest, and the line count of each ``src/halfspace/*.py``.
+``BENCH_<tag>.json`` (in ``--out-dir``, created if missing) then holds, per
+workload, every run's result line (the six end-to-end metrics,
+``correct``, ``attempted`` and ``failed``) and each metric's median and
+quartiles, the same for the per-layer metrics of the ``--trace 1`` runs
+(``projection.objective_s``, ``optimize.objective_calls``, ...) under
+``per_layer``, with the machine and library versions the benchmark
+reports, the tree's git description and source digest, and the line count
+of each ``src/halfspace/*.py``.
 
 ``--seconds 0`` runs each workload's minimum trial count: a smoke run
 that only shows the recorder and the benchmark still work together.
@@ -150,6 +151,8 @@ def main(argv=None) -> int:
         if not sep or not tag or not (Path(tree) / "bench" / "run.py").is_file():
             parser.error(f"expected TAG=TREE with TREE/bench/run.py, got {item!r}")
         trees[tag] = Path(tree).resolve()
+    # before the first run, so a bad directory fails at once
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     for tag, result in record(trees, args.seeds, args.seconds).items():
         path = args.out_dir / f"BENCH_{tag}.json"
         path.write_text(json.dumps(result, indent=1) + "\n")

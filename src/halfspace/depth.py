@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError, WeightedPointSet, as_point, row_groups
+from .model import _MASS_UNIT, ConfigError, WeightedPointSet, as_point, mass_units, row_groups
 from .rng import RngLike, make_rng
 
 ENGINES = ("auto", "exact1d", "sweep2d", "oracle", "sampled")
@@ -47,7 +47,6 @@ _BLOCK_ROWS = 64               # largest block of directions one pruned step tak
 _BUILD_PAIRS = 125_000        # atom x direction projections per construction chunk
 _SCORE_PAIRS = 1_000_000      # query x direction pairs per scoring temporary
 _LOOP_KEYS = 128              # more keys per row than this: search row by row
-_MASS_UNIT = 2.0 ** -60       # fixed-point unit of every sorted-projection mass
 _SORT_QUERIES = 8             # a block that this many live queries reach is sorted
 _NO_UNITS = np.iinfo(np.int64).max   # the units of a mass that is not known
 
@@ -655,13 +654,6 @@ def direction_lines(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     twin[line[negative != negative[first[line]]]] = True
     by_first = np.argsort(first)
     return first[by_first], twin[by_first]
-
-
-def mass_units(weights: np.ndarray) -> np.ndarray:
-    """``weights`` rounded once to int64 multiples of ``_MASS_UNIT`` = 2**-60,
-    each within 2**-61 of its weight, so a total near 1 stays near 2**60,
-    far inside int64."""
-    return np.rint(weights / _MASS_UNIT).astype(np.int64)
 
 
 def sorted_suffix(proj: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (_MASS_UNIT, BatteryScorer, compute_depth, depth_2d_sweep_many,
-                    direction_battery, mass_units, resolve_engine, sorted_suffix)
-from .model import WeightedPointSet, as_point
-from .optimize import pattern_search_min
+from .depth import (BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery,
+                    resolve_engine, sorted_suffix)
+from .model import _MASS_UNIT, WeightedPointSet, as_point, mass_units, row_groups
+from .optimize import floored, pattern_search_min
 from .rng import RngLike, make_rng
 
 MIDPOINT_CAP = 100_000
@@ -87,7 +87,8 @@ def _candidate_pool(p: WeightedPointSet, seed: np.ndarray, extra, midpoint_cap: 
         pool.append(0.5 * (pts[ii] + pts[jj]))
     for point in extra:
         pool.append(as_point(point)[None, :])
-    return np.unique(np.vstack(pool), axis=0)
+    pool = np.vstack(pool) + 0.0
+    return pool[row_groups(pool)[0]]
 
 
 def _battery_scorer(p: WeightedPointSet, budget: int, rng: np.random.Generator) -> BatteryScorer:
@@ -103,30 +104,11 @@ def _exact_scorer(p: WeightedPointSet, engine: str):
 
 
 def _floored_neg_depth(scorer: BatteryScorer):
-    """A fresh objective ``xs (m, d) -> -scores`` for one pattern search.
-
-    Its floor is the largest score it has returned so far. A probe whose
-    running minimum over directions (taken in battery order) reaches the
-    floor cannot beat it, so scoring stops there and the probe gets that
-    running minimum: at most the floor and at least its score. Any other
-    probe gets its exact score.
-
-    ``pattern_search_min`` accepts a probe only when its value is strictly
-    below ``fx``, which is minus this floor, so it accepts the same probes,
-    with the same exact values, and returns the same ``(x, fx, evals)`` as
-    with exact scores.
-    """
-    floor = -math.inf
-
-    def objective(xs: np.ndarray) -> np.ndarray:
-        nonlocal floor
-        # a running minimum at or below the floor stops: the search needs
-        # a strict improvement
-        depths = scorer.bounded_scores(xs, np.nextafter(floor, math.inf))
-        floor = max(floor, float(np.max(depths)))
-        return -depths
-
-    return objective
+    """A fresh :func:`~halfspace.optimize.floored` objective ``xs -> -scores``
+    over :meth:`BatteryScorer.bounded_scores`: a probe that cannot beat the
+    best score so far (the search needs a strict improvement) stops once its
+    running minimum over lines reaches that score."""
+    return floored(lambda xs, floor: -scorer.bounded_scores(xs, np.nextafter(-floor, math.inf)))
 
 
 def median_candidates(p: WeightedPointSet, engine: str = "auto", *, extra=(),
@@ -190,9 +172,8 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
 
     Under the sampled engine the search minimizes
     :func:`_floored_neg_depth`, so a probe that cannot beat the incumbent
-    costs only the battery blocks it takes to prove it, the same blocks the
-    pool is scored in; the path, the generator draws, the evaluation count
-    and the result are those of exact scoring.
+    costs only the battery blocks it takes to prove it, and the result has
+    the bits of exact scoring.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")

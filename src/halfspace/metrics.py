@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_BUILD_PAIRS, _MASS_UNIT, _half_turn_sweep, _project_rows, direction_battery,
-                    direction_lines, guard_resident, mass_units, sorted_suffix)
-from .model import NamedDistribution, WeightedPointSet, as_point, row_groups
+from .depth import (_BUILD_PAIRS, _half_turn_sweep, _project_rows, direction_battery,
+                    direction_lines, guard_resident, sorted_suffix)
+from .model import _MASS_UNIT, NamedDistribution, WeightedPointSet, as_point, mass_units, row_groups
 from .rng import RngLike, make_rng
 
 _INVERSE_TOL = 1e-10    # bisection width of numeric generalized inverses

@@ -18,6 +18,7 @@ import numpy as np
 from .rng import RngLike, make_rng
 
 WEIGHT_TOL = 1e-9
+_MASS_UNIT = 2.0 ** -60   # fixed-point unit of every exact mass
 
 GAUSSIAN = "gaussian_isotropic"
 UNIFORM_BALL = "uniform_ball"
@@ -50,6 +51,13 @@ def as_direction(v, normalize: bool = False) -> np.ndarray:
         # renormalize once more to push the norm within 1e-12 of 1
         d = d / float(np.linalg.norm(d))
     return d
+
+
+def mass_units(weights: np.ndarray) -> np.ndarray:
+    """``weights`` rounded once to int64 multiples of ``_MASS_UNIT`` = 2**-60,
+    each within 2**-61 of its weight, so a total near 1 stays near 2**60,
+    far inside int64."""
+    return np.rint(weights / _MASS_UNIT).astype(np.int64)
 
 
 def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +201,12 @@ def halfspace_mass(p: WeightedPointSet, v, t: float, closed: bool = True) -> flo
     """Probability mass of the halfspace ``{x : v.x >= t}`` (or ``> t`` if open).
 
     Ties with the boundary hyperplane are resolved by the ``closed`` flag,
-    never by perturbation.
+    never by perturbation. The mass is an int64 sum of :func:`mass_units`,
+    converted to float once, as the depth engines report it.
     """
     values, weights = project_points(p, v)
-    if closed:
-        return float(weights[values >= t].sum())
-    return float(weights[values > t].sum())
+    inside = values >= t if closed else values > t
+    return float(mass_units(weights[inside]).sum() * _MASS_UNIT)
 
 
 def symmetry_check(atoms: WeightedPointSet, center, tol: float = WEIGHT_TOL) -> bool:

@@ -1,8 +1,11 @@
 """Derivative-free pattern search shared by the median refiner and the
-projection optimizer: axis-aligned and random probes, strict-improvement
-acceptance, geometric step shrinking. Deterministic given the generator."""
+projection optimizer (axis-aligned and random probes, strict-improvement
+acceptance, geometric step shrinking; deterministic given the generator),
+and the incumbent floor that lets both prune their objectives."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,11 +31,8 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
     ``evaluations`` counting every probed point, the start included.
 
     Invariant: ``fx`` is the least value ``f`` has returned in this search
-    (the earliest of equal ones; a NaN is never less, so a NaN start stays).
-    An objective may therefore return, for a row it proves cannot go below
-    the least value it has returned, any value between that floor and the
-    row's true value: such a row is never accepted, and the path, the
-    generator draws and the result keep their bits.
+    (the earliest of equal ones; a NaN is never less, so a NaN start stays),
+    which is what lets :func:`floored` objectives prune.
     """
 
     def clip(x):
@@ -65,3 +65,28 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
             moves += 1
         step *= shrink
     return x, fx, evals
+
+
+def floored(evaluate):
+    """A fresh batched objective ``xs -> evaluate(xs, floor)`` for one
+    :func:`pattern_search_min`, whose ``floor`` is the least value it has
+    returned so far (``inf`` before the first call, and a NaN is never
+    less): the search's ``fx``, unless that is a NaN start.
+
+    ``evaluate`` must return the exact value of every row whose value is
+    below ``floor``, and for any other row a value between ``floor`` and its
+    true value, so it may stop evaluating a row once it proves the row
+    cannot go below the floor. The search accepts a probe only when it is
+    strictly below ``fx``, so it accepts the same probes with the same exact
+    values, and the path, the generator draws and ``(x, fx, evaluations)``
+    keep the bits of the search over exact values.
+    """
+    floor = math.inf
+
+    def objective(xs: np.ndarray) -> np.ndarray:
+        nonlocal floor
+        values = evaluate(xs, floor)
+        floor = float(np.min(values, initial=floor, where=values < floor))
+        return values
+
+    return objective

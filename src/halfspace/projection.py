@@ -10,12 +10,11 @@ itself. The battery objective is a lower bound on the true halfspace
 metric; the family always contains the clean population, so the objective
 at the returned center never exceeds the objective at the true center.
 
-Each pattern search minimizes its own floored copy of the objective
-(``_BatteryObjective.floored``), whatever the template: a probe that cannot
-beat the search's incumbent costs the directions it takes to prove it,
-often one, and gets a lower bound at or above the incumbent, so the search
-takes the same path and returns the same bits as with exact values. Without
-a floor nothing stops, so the battery goes to the kernels in one span.
+Each pattern search minimizes its own :func:`~halfspace.optimize.floored`
+copy of the objective (``_BatteryObjective.floored``), whatever the
+template: a probe that cannot beat the search's incumbent costs the
+directions it takes to prove it, often one. Without a floor nothing stops,
+so the battery goes to the kernels in one span.
 
 Inside a direction, a continuous (Gaussian or uniform-ball) template is
 first evaluated at every ceil(sqrt(n))-th sorted projection. The sorted row
@@ -37,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (_MASS_UNIT, direction_battery, direction_blocks, guard_resident, mass_units,
-                    row_searchsorted, sorted_suffix)
+from .depth import (direction_battery, direction_blocks, guard_resident, row_searchsorted,
+                    sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
-from .model import (DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
-                    WeightedPointSet, as_point)
-from .optimize import pattern_search_min
+from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
+                    WeightedPointSet, as_point, mass_units, row_groups)
+from .optimize import floored, pattern_search_min
 from .rng import RngLike, make_rng
 
 _DOMINATION_GRID = 32
@@ -149,8 +148,7 @@ class _BatteryObjective:
     floor the parts are the blocks of
     :func:`~halfspace.depth.direction_blocks`. Calling the objective, or
     :meth:`batch`, gives exact values; ``floored()`` gives the objective
-    one pattern search minimizes, which stops evaluating a center once it
-    cannot beat that search's incumbent. Both go through the same kernels.
+    one pattern search minimizes. Both go through the same kernels.
     """
 
     def __init__(self, family: TemplateFamily, p_hat: WeightedPointSet,
@@ -355,38 +353,23 @@ class _BatteryObjective:
         return out
 
     def floored(self):
-        """A fresh batched objective for one pattern search.
+        """A fresh :func:`~halfspace.optimize.floored` objective for one
+        pattern search, which takes directions in descending order of the
+        per-direction values of the center that set the floor (the best so
+        far), so most rejected probes stop after one direction. A center
+        whose running max reaches the floor stops there (:meth:`_sup`)."""
+        order = None
 
-        Its floor is the least value it has returned so far. A center whose
-        running max over directions reaches the floor cannot go below it,
-        so evaluation stops there and the center gets that running max: a
-        lower bound on its value that is at least the floor. Any other
-        center gets its exact value. Directions go in descending order of
-        the per-direction values of the center that set the floor (the best
-        so far), so most rejected probes stop after one direction.
-
-        Each call goes through :meth:`_sup` at once, against the floor at
-        the start of the call; the least exact value below it then becomes
-        the floor; the first call has none, so it prunes nothing.
-
-        ``pattern_search_min`` accepts a probe only when it is strictly below
-        ``fx``, which is this floor, so it accepts the same probes, with the
-        same exact values, and returns the same ``(x, fx, evals)`` as with
-        the exact objective.
-        """
-        floor, order = math.inf, None
-
-        def objective(mus: np.ndarray) -> np.ndarray:
-            nonlocal floor, order
+        def evaluate(mus: np.ndarray, floor: float) -> np.ndarray:
+            nonlocal order
             per_direction = np.empty((len(mus), len(self.dirs)))
             values = self._sup(self._project(mus), floor, order, per_direction)
             best = int(np.argmin(values))
             if values[best] < floor:
-                floor = float(values[best])
                 order = np.argsort(-per_direction[best], kind="stable")
             return values
 
-        return objective
+        return floored(evaluate)
 
 
 def family_distance(mu, family: TemplateFamily, p_hat: WeightedPointSet,
@@ -417,7 +400,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     def clip(x):
         return np.clip(x, box[:, 0], box[:, 1])
 
-    start_points = [clip(coordinatewise_median(p_hat)), clip(p_hat.mean())]
+    start_points = [clip(coordinatewise_median(p_hat)), clip(merged.mean())]
     start_points.extend(clip(as_point(x)) for x in extra_starts)
     if tukey_start:
         guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
@@ -432,7 +415,8 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         # that align a template atom onto a data atom are the candidate
         # basin locations, so the best few join the start list.
         align = (merged.points[:, None, :] - family.template.atoms.points[None, :, :])
-        align = np.unique(align.reshape(-1, p_hat.dim), axis=0)
+        align = align.reshape(-1, p_hat.dim)
+        align = align[row_groups(align)[0]]
         if len(align) > 4096:
             align = align[gen.choice(len(align), size=4096, replace=False)]
         align_scores = objective.batch(clip(align))

@@ -540,6 +540,23 @@ class TestDepthProperties:
             t = float(res.witness @ np.asarray(mu, dtype=float))
             assert hs.halfspace_mass(p, res.witness, t) == pytest.approx(res.value, abs=1e-9)
 
+    def test_mass_along_a_decisive_witness_has_the_oracle_bits(self):
+        # random weights, so a float sum of the weights rounds differently
+        rng = hs.make_rng(21)
+        checked = 0
+        for _ in range(60):
+            n, d = int(rng.integers(3, 12)), int(rng.integers(2, 4))
+            w = rng.random(n)
+            p = WeightedPointSet(rng.standard_normal((n, d)), w / w.sum())
+            mu = 0.3 * rng.standard_normal(d)
+            res = hs.depth_oracle(p, mu)
+            t = float(res.witness @ mu)
+            if np.min(np.abs(p.points @ res.witness - t)) < 1e-9:
+                continue   # an atom within rounding of the boundary
+            assert bits(hs.halfspace_mass(p, res.witness, t)) == bits(res.value)
+            checked += 1
+        assert checked >= 40
+
     def test_result_serialization(self):
         res = hs.depth_oracle(SQUARE_2D, [0.0, 0.0])
         obj = res.to_json_dict()
@@ -836,6 +853,9 @@ def bits(values) -> bytes:
 class TestPermutationInvariance:
     @settings(max_examples=200, deadline=None)
     @given(permuted_cases(), st.integers(0, 3))
+    # the weighted centroid of a permuted set rounds differently
+    @example((WeightedPointSet(np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-1.0, 3.0, 0.0]]),
+                               np.full(3, 1.0 / 3.0)), np.array([0, 2, 1])), 0)
     def test_outputs_keep_their_bits_when_atoms_are_permuted(self, case, seed):
         p, perm = case
         q = WeightedPointSet(p.points[perm], p.weights[perm])
@@ -856,6 +876,12 @@ class TestPermutationInvariance:
             assert bits(a.point) == bits(b.point)
             assert bits(a.achieved_depth) == bits(b.achieved_depth)
             assert a.candidate_count == b.candidate_count
+        family = hs.TemplateFamily(hs.NamedDistribution.gaussian(np.zeros(p.dim)),
+                                   hs.DecayProfile.gaussian(), np.array([[-4.0, 4.0]] * p.dim))
+        a, b = (hs.project_estimate(x, family, starts=0, budget=16, steps=4, rng=seed)
+                for x in (p, q))
+        assert bits(a.mu_hat) == bits(b.mu_hat) and bits(a.objective) == bits(b.objective)
+        assert a.evaluations == b.evaluations
 
 
 class TestDirectionBlocks:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import halfspace as hs
 from halfspace import depth
 from halfspace.depth import BatteryScorer, _project_rows
-from halfspace.median import weighted_median_interval
+from halfspace.median import _candidate_pool, weighted_median_interval
 from halfspace.model import WEIGHT_TOL, ConfigError, WeightedPointSet
 
 
@@ -56,6 +56,19 @@ class TestWeightedMedianInterval:
 
 
 class TestMedianCandidates:
+    def test_pool_is_the_sorted_distinct_rows_with_positive_zeros(self):
+        # half-integer atoms: many midpoints coincide
+        rng = np.random.default_rng(5)
+        p = uniform(np.round(2.0 * rng.standard_normal((40, 3))) / 2.0).consolidate()
+        seed = hs.coordinatewise_median(p)
+        extra = [np.array([-0.0, 0.25, -0.0]), p.points[3]]
+        pool = _candidate_pool(p, seed, extra, 10 ** 4, np.random.default_rng(0))
+        ii, jj = np.triu_indices(p.size, k=1)
+        rows = np.vstack([p.points, p.mean(), seed, 0.5 * (p.points[ii] + p.points[jj]), *extra])
+        assert pool.tobytes() == np.unique(rows + 0.0, axis=0).tobytes()
+        assert not np.any(np.signbit(pool[pool == 0.0]))
+        assert [0.0, 0.25, 0.0] in pool.tolist()
+
     def test_square_3d_center(self):
         p = hs.square_distribution().atoms_absolute()
         r = hs.median_candidates(p, engine="oracle")

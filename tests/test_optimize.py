@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace.optimize import pattern_search_min
+from halfspace.optimize import floored, pattern_search_min
 
 
 def sequential_pattern_search_min(f, x0, *, initial_step, rng, levels=8, shrink=0.5,
@@ -196,22 +196,22 @@ class TestIncumbentInvariant:
         # far may get any value between that floor and its true value
         case = dict(case)
         x0 = np.array(case.pop("x0"))
-        floor = math.inf
+        returned = []
 
-        def floored(xs):
-            nonlocal floor
+        def evaluate(xs, floor):
+            # the floor is the least number returned so far
+            assert floor == min((v for v in returned if not math.isnan(v)), default=math.inf)
             out = []
             for x in xs:
                 value = objective(x)
                 if value >= floor:
                     value = data.draw(st.floats(min_value=floor, max_value=value))
-                if value < floor:
-                    floor = value
                 out.append(value)
+            returned.extend(out)
             return np.array(out)
 
         gens = [np.random.default_rng(seed), np.random.default_rng(seed)]
-        got = pattern_search_min(floored, x0, rng=gens[0], **case)
+        got = pattern_search_min(floored(evaluate), x0, rng=gens[0], **case)
         want = pattern_search_min(batched(objective), x0, rng=gens[1], **case)
         assert_same(got, want)
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
