@@ -1,0 +1,87 @@
+"""Write the reference sweep CSVs of one source tree.
+
+Usage (from the repository root)::
+
+    python3 scripts/reference_runs.py TREE OUT_DIR
+
+TREE is a checkout that holds ``src/halfspace``, ``configs/`` and
+``bench/workloads.json``. Each run is a separate
+``python3 -m halfspace.cli`` process on TREE's own sources, started in
+TREE, that writes ``OUT_DIR/<name>.csv`` (OUT_DIR is created if missing):
+
+* ``sweep-bias --eps-grid 0.0,0.1`` on each config of
+  ``bench/workloads.json``, with 3 trials and seed 5;
+* ``sweep-bias`` on configs/gaussian_adaptive.json, gaussian_planar.json
+  and gaussian_projection.json at ``0.05,0.1``, and on
+  configs/square_projection.json at ``0.1,0.25`` and at ``0.25``;
+* ``sweep-scaling --n-grid 200,800`` on configs/square_projection.json;
+* ``sweep-breakdown --z-grid 10,100 --n 500`` for every estimator and
+  construction, and the Tukey tetrahedron breakdown at the default n.
+
+Two trees, or two runs of one tree, compare with ``diff -r`` of their
+output directories: every row is byte-identical on a rerun.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ESTIMATORS = ("tukey", "projection", "cwise_median")
+CONSTRUCTIONS = ("tetrahedron", "pointmass_1d", "ball_additive")
+
+
+def runs(tree: Path, scratch: Path) -> dict[str, list[str]]:
+    """The CLI arguments of each reference run, by output name; the bench
+    workload configs are written to the directory ``scratch`` first."""
+    out = {}
+    workloads = json.loads((tree / "bench" / "workloads.json").read_text())["workloads"]
+    for name, spec in workloads.items():
+        config = scratch / f"{name}.json"
+        config.write_text(json.dumps(dict(spec["config"], trials=3, seed=5)))
+        out[f"bench_{name}"] = ["sweep-bias", "--config", str(config), "--eps-grid", "0.0,0.1"]
+    for name, grid in [("gaussian_adaptive", "0.05,0.1"), ("gaussian_planar", "0.05,0.1"),
+                       ("gaussian_projection", "0.05,0.1"), ("square_projection", "0.1,0.25")]:
+        out[f"bias_{name}"] = ["sweep-bias", "--config", f"configs/{name}.json",
+                               "--eps-grid", grid]
+    out["bias_square_projection_0.25"] = ["sweep-bias", "--config",
+                                          "configs/square_projection.json", "--eps-grid", "0.25"]
+    out["scaling_square_projection"] = ["sweep-scaling", "--config",
+                                        "configs/square_projection.json", "--n-grid", "200,800"]
+    for estimator in ESTIMATORS:
+        for construction in CONSTRUCTIONS:
+            out[f"breakdown_{estimator}_{construction}"] = [
+                "sweep-breakdown", "--estimator", estimator, "--construction", construction,
+                "--z-grid", "10,100", "--n", "500"]
+    out["breakdown_tukey_tetrahedron_default_n"] = [
+        "sweep-breakdown", "--estimator", "tukey", "--construction", "tetrahedron",
+        "--z-grid", "10,100"]
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 scripts/reference_runs.py TREE OUT_DIR", file=sys.stderr)
+        return 2
+    tree, out_dir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (tree / "src" / "halfspace" / "cli.py").is_file():
+        print(f"{tree} holds no src/halfspace/cli.py", file=sys.stderr)
+        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, args in runs(tree, Path(scratch)).items():
+            subprocess.run([sys.executable, "-m", "halfspace.cli", *args,
+                            "--out", str(out_dir / f"{name}.csv")],
+                           cwd=tree, env=env, check=True)
+            print(f"wrote {name}.csv", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -556,12 +556,13 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     dirs = direction_battery(p.points, budget, make_rng(rng), anchor="offset", mu=mu)
     rows, twin = direction_lines(dirs)
     lines, units = dirs[rows], mass_units(p.weights)
-    total, reach = units.sum(), np.abs(p.points).max()
+    total, slack = units.sum(), _cut_slack(lines)
+    spans = _cut_spans(np.abs(p.points).max(), mu[None, :])
     masses = np.full((len(lines), 2), _NO_UNITS)          # along v, along -v
     step = max(1, _BUILD_PAIRS // p.size)
     for start in range(0, len(lines), step):
         part = slice(start, start + step)
-        low, high = _cut_keys(lines[part], mu[None, :], reach)
+        low, high = _cut_keys(lines[part], slack[part], mu[None, :], spans)
         proj = _project_rows(p.points, lines[part])
         masses[part, 0] = _compare_units(proj, units, low)[:, 0]
         both = np.flatnonzero(twin[part])
@@ -619,23 +620,34 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
     return out
 
 
-def _cut_keys(lines: np.ndarray, queries: np.ndarray,
-              reach: float) -> tuple[np.ndarray, np.ndarray]:
+def _cut_keys(lines: np.ndarray, slack: np.ndarray, queries: np.ndarray,
+              spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one rounding rule of every sampled mass: (b, m) keys ``(low,
-    high)`` of ``queries`` (m, d) on ``lines`` (b, d) for atoms of
-    coordinates at most ``reach`` in size. The closed mass along v is at
-    most the units whose :func:`_project_rows` value is at least ``low``,
-    and along -v the units below ``high``. A coordinate-wise sum is within
-    (d·eps/2)·|v|_1·|x|_inf, to first order, of the exact dot product
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1);
-    the shift (d + 1)·eps·|v|_1·(reach + |q|_inf) is over twice that bound
-    for both projections, so, barring underflow, no rounding of the atom,
-    the query or the shift drops an atom on the boundary."""
+    high)`` of ``queries`` (m, d) on ``lines`` (b, d), given the lines'
+    :func:`_cut_slack` and the queries' :func:`_cut_spans` for atoms of
+    coordinates at most ``reach`` in size; each depends on one line or one
+    query only, so a caller computes it once. The closed mass along v is
+    at most the units whose :func:`_project_rows` value is at least
+    ``low``, and along -v the units below ``high``. A coordinate-wise sum
+    is within (d·eps/2)·|v|_1·|x|_inf, to first order, of the exact dot
+    product (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 3.1); the shift (d + 1)·eps·|v|_1·(reach + |q|_inf), the outer
+    product of slack and spans, is over twice that bound for both
+    projections, so, barring underflow, no rounding of the atom, the query
+    or the shift drops an atom on the boundary."""
     keys = _project_rows(queries, lines)
-    shift = np.multiply.outer((lines.shape[1] + 1) * np.finfo(float).eps
-                              * np.abs(lines).sum(axis=1),
-                              reach + np.abs(queries).max(axis=1))
+    shift = np.multiply.outer(slack, spans)
     return keys - shift, np.nextafter(keys + shift, math.inf)
+
+
+def _cut_slack(lines: np.ndarray) -> np.ndarray:
+    """(b,) line factors (d + 1)·eps·|v|_1 of the :func:`_cut_keys` shift."""
+    return (lines.shape[1] + 1) * np.finfo(float).eps * np.abs(lines).sum(axis=1)
+
+
+def _cut_spans(reach: float, queries: np.ndarray) -> np.ndarray:
+    """(m,) query factors reach + |q|_inf of the :func:`_cut_keys` shift."""
+    return reach + np.abs(queries).max(axis=1)
 
 
 def direction_lines(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -773,6 +785,7 @@ class BatteryScorer:
         guard_resident("battery scorer", n, u, 8 * u * (2 * n + 1))
         self.dirs = dirs
         self._lines = dirs[rows]
+        self._slack = _cut_slack(self._lines)
         self._units = mass_units(p.weights)
         self._total = self._units.sum()
         self._reach = np.abs(p.points).max()
@@ -837,6 +850,7 @@ class BatteryScorer:
         float once.
         """
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+        spans = _cut_spans(self._reach, candidates)
         least = np.full(candidates.shape[0], _NO_UNITS)
         live = np.arange(candidates.shape[0])
         for block in direction_blocks(len(self._lines)):
@@ -844,11 +858,11 @@ class BatteryScorer:
                 break
             if live.size >= _SORT_QUERIES:
                 self._rank(block)
-            dirs = self._lines[block]
+            dirs, slack = self._lines[block], self._slack[block]
             cols = max(1, _SCORE_PAIRS // len(dirs))
             for at in range(0, live.size, cols):
                 part = live[at:at + cols]
-                low, high = _cut_keys(dirs, candidates[part], self._reach)
+                low, high = _cut_keys(dirs, slack, candidates[part], spans[part])
                 least[part] = self._least_units(block, low, high, least[part])
             live = live[least[live] * _MASS_UNIT >= floor]
         return np.where(least < _NO_UNITS, least * _MASS_UNIT, math.inf)

@@ -10,6 +10,14 @@ itself. The battery objective is a lower bound on the true halfspace
 metric; the family always contains the clean population, so the objective
 at the returned center never exceeds the objective at the true center.
 
+The objective reads one row per line of its drawn battery
+(:func:`~halfspace.depth.direction_lines`). A closed halfspace
+{v.x <= s} and its complement lie on one line: along -v, the data's and
+the template's CDF at t are each one's total mass less its left limit
+along v at -t. The kernels read both limits at every jump, so the sups
+for v and -v differ by at most the gap between the two total masses (the
+fixed-point weights total 1 to about 1e-15) plus rounding.
+
 Each pattern search minimizes its own :func:`~halfspace.optimize.floored`
 copy of the objective (``_BatteryObjective.floored``), whatever the
 template: a probe that cannot beat the search's incumbent costs the
@@ -36,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (direction_battery, direction_blocks, guard_resident, row_searchsorted,
-                    sorted_suffix)
+from .depth import (direction_battery, direction_blocks, direction_lines, guard_resident,
+                    row_searchsorted, sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
 from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
@@ -123,18 +131,23 @@ class ProjectionResult:
     mu_hat: np.ndarray
     objective: float
     evaluations: int
+    lines: int          # battery lines (one row each) the objective read
 
     def to_json_dict(self) -> dict:
         return {"mu_hat": self.mu_hat.tolist(), "objective": self.objective,
-                "evaluations": self.evaluations}
+                "evaluations": self.evaluations, "lines": self.lines}
 
 
 class _BatteryObjective:
     """Max over a fixed direction battery of the exact per-direction sup
     distance between the translated template CDF and the empirical CDF.
 
-    The sorted projections are (c, n) rows, one per direction, beside one
-    (c, n + 1) fixed-point table of the mass below each rank; ``emp_cdf`` and
+    ``dirs`` holds one row per line of the drawn battery, its first row
+    (:func:`~halfspace.depth.direction_lines`), so c below counts lines: a
+    twin row -v would give its line's value again to about 1e-15 (module
+    docstring), and every probe reads at most c directions. The sorted
+    projections are (c, n) rows, one per direction, beside one (c, n + 1)
+    fixed-point table of the mass below each rank; ``emp_cdf`` and
     ``emp_left`` are views of it. A discrete template keeps its own sorted
     atom projections and table beside them. A continuous template pads the
     rows to whole blocks of ceil(sqrt(n)) ranks, viewed as (c, blocks, step)
@@ -157,7 +170,8 @@ class _BatteryObjective:
             raise ValueError("dimension mismatch")
         self.family = family
         p_hat = p_hat.consolidate()
-        self.dirs = direction_battery(p_hat.points, budget, rng, anchor="difference")
+        battery = direction_battery(p_hat.points, budget, rng, anchor="difference")
+        self.dirs = battery[direction_lines(battery)[0]]
         tmpl = family.template
         self._discrete = discrete = tmpl.variant == DISCRETE_ATOMS
         n, c = p_hat.size, len(self.dirs)
@@ -434,7 +448,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         key = (fx, tuple(x))
         if best is None or key < best[0]:
             best = (key, x, fx)
-    return ProjectionResult(best[1], best[2], total_evals)
+    return ProjectionResult(best[1], best[2], total_evals, len(objective.dirs))
 
 
 def certify_projection_bound(result: ProjectionResult, family: TemplateFamily,

@@ -7,6 +7,7 @@ import pytest
 
 import halfspace as hs
 from halfspace.cli import main
+from halfspace.depth import direction_lines
 from halfspace.harness import (ConfigError, ExperimentConfig, ExperimentReport,
                                ReportRow, run_bias_sweep, run_breakdown_sweep,
                                run_scaling)
@@ -307,6 +308,9 @@ class TestCli:
                      "--budget", "128", "--steps", "8"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mu_hat"] == [0.0, 0.0, 0.0]
+        atoms = hs.WeightedPointSet.from_csv(dist.read_text()).consolidate()
+        battery = hs.direction_battery(atoms.points, 128, hs.make_rng(0), anchor="difference")
+        assert payload["lines"] == len(direction_lines(battery)[0])
 
     def test_sweep_breakdown_cli(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -360,6 +360,57 @@ class TestFloorFreeSpan:
         assert objective._sup(t0).tobytes() == walked.tobytes()
 
 
+def drawn_battery(p, budget, seed):
+    """The battery ``_BatteryObjective`` draws from ``make_rng(seed)``,
+    before it keeps one row per line."""
+    return depth.direction_battery(p.consolidate().points, budget, hs.make_rng(seed),
+                                   anchor="difference")
+
+
+class TestOneRowPerLine:
+    @settings(max_examples=60, deadline=None)
+    @given(all_template_cases(), st.sampled_from([8, 128]), st.integers(0, 3))
+    def test_reads_each_line_once_and_keeps_the_full_battery_value(self, case, budget, seed):
+        family, p, centers = case
+        discrete = family.template.variant == "discrete_atoms"
+        if discrete:
+            budget = 8      # the einsum reference takes (n, n, c) booleans
+        objective = _BatteryObjective(family, p, budget, hs.make_rng(seed))
+        battery = drawn_battery(p, budget, seed)
+        # no twin rows, and every line of the drawn battery is among the rows
+        assert not depth.direction_lines(objective.dirs)[1].any()
+        c = len(objective.dirs)
+        assert np.all(depth.direction_lines(np.vstack([objective.dirs, battery]))[0] < c)
+        # the objective over every row, both signs included, by the full-row
+        # formulas; the two signs of a line differ by rounding only
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(projection, "direction_lines",
+                      lambda dirs: (np.arange(len(dirs)), None))
+            full = _BatteryObjective(family, p, budget, hs.make_rng(seed))
+        assert full.dirs.tobytes() == battery.tobytes()
+        if discrete:
+            want = np.array([step_sup_reference(full, p, mu) for mu in centers])
+        else:
+            want = full_row_sups(full, centers)
+        want = np.maximum(want.max(axis=1), 0.0)
+        got = objective.batch(centers)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("family", ["gaussian", "square"])
+    def test_result_counts_the_lines_read(self, family):
+        if family == "gaussian":
+            fam = gaussian_family(d=3, half=4.0)
+            p = cluster_sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 500, 3)
+        else:
+            fam, p = hs.square_template_family(), hs.attack_tetrahedron(5.0)[1]
+        res = hs.project_estimate(p, fam, starts=1, budget=64, steps=4, rng=5,
+                                  tukey_start=False)
+        rows, twin = depth.direction_lines(drawn_battery(p, 64, 5))
+        assert twin.any()
+        assert res.lines == len(rows)
+        assert res.to_json_dict()["lines"] == len(rows)
+
+
 @st.composite
 def battery_and_centers(draw):
     """Unit rows (c, d) with signed zeros, and (m, d) centers whose
@@ -620,7 +671,7 @@ class TestProjectEstimate:
 class TestCertifyBound:
     def test_vacuous_beyond_half(self):
         fam = hs.square_template_family()
-        res = hs.ProjectionResult(np.array([99.0, 99.0, 99.0]), 0.9, 1)
+        res = hs.ProjectionResult(np.array([99.0, 99.0, 99.0]), 0.9, 1, 1)
         assert hs.certify_projection_bound(res, fam, np.zeros(3), 0.6)
 
     def test_uncorrupted_square_certifies_with_bound_two(self):
