@@ -22,8 +22,6 @@ from .depth import (_BUILD_PAIRS, _half_turn_sweep, _project_rows, direction_bat
 from .model import _MASS_UNIT, NamedDistribution, WeightedPointSet, as_point, mass_units, row_groups
 from .rng import RngLike, make_rng
 
-_INVERSE_TOL = 1e-10    # bisection width of numeric generalized inverses
-
 
 def normal_cdf(x):
     """Standard normal CDF in float64 (scipy's ``ndtr``); a float for scalars."""
@@ -132,7 +130,7 @@ class DecayProfile:
         dirs = np.vstack(dirs)
         n, c = atoms.size, len(dirs)
         guard_resident("decay profile", n, c, 8 * c * (2 * n + 1))
-        rows, units = sorted_suffix((offsets @ dirs.T).T, mass_units(atoms.weights))
+        rows, units = sorted_suffix(_project_rows(offsets, dirs), mass_units(atoms.weights))
         suffix = units * _MASS_UNIT
         rows.setflags(write=False)
         suffix.setflags(write=False)
@@ -168,23 +166,17 @@ class DecayProfile:
             if not below.any():
                 return math.inf
             return float(self.breakpoints[int(np.argmax(below)), 0])
-        # numeric profiles: bisection on t (h is non-increasing)
-        if self.eval(0.0) < y:
-            return 0.0
         if self.variant == "uniform_ball":
-            hi = self.radius
-        else:
-            hi = float(self._emp_sorted.max(initial=0.0)) + 1.0
-        if self.eval(hi) >= y:
-            return math.inf
-        lo = 0.0
-        while hi - lo > _INVERSE_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) < y:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+            # h(t) < y exactly when I_{(t/r)^2}(1/2, (d + 1)/2) > 1 - 2y
+            if y >= 0.5:
+                return 0.0
+            from scipy.special import betaincinv   # imported here, as in normal_cdf
+            return self.radius * math.sqrt(betaincinv(0.5, 0.5 * (self.dim + 1), 1.0 - 2.0 * y))
+        # empirical: h(t) < y once t reaches, on every row, the projection
+        # just before the row's first suffix mass below y (the last is 0)
+        first = np.argmax(self._emp_suffix < y, axis=1)
+        jump = self._emp_sorted[np.arange(len(first)), first - 1]
+        return max(0.0, float(np.where(first > 0, jump, 0.0).max()))
 
     def to_json_dict(self) -> dict:
         if self.variant == "gaussian":

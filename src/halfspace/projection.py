@@ -47,7 +47,7 @@ import numpy as np
 from .depth import (direction_battery, direction_blocks, direction_lines, guard_resident,
                     row_searchsorted, sorted_suffix)
 from .median import coordinatewise_median, median_candidates
-from .metrics import DecayProfile, _ball_tail, normal_cdf, normal_sf
+from .metrics import DecayProfile, _ball_tail, decay_for, normal_cdf
 from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
                     WeightedPointSet, as_point, mass_units, row_groups)
 from .optimize import floored, pattern_search_min
@@ -78,27 +78,22 @@ class TemplateFamily:
         self._check_decay_dominates()
 
     def _check_decay_dominates(self):
-        """Spot-check at a fixed grid that the declared decay profile
-        dominates the template's worst one-sided tail."""
-        t_grid, tail = self._template_tail()
-        for t, mass in zip(t_grid, tail):
-            if mass > self.decay.eval(float(t)) + _DOMINATION_SLACK:
-                raise ValueError(
-                    f"decay profile does not dominate the template tail at t={t}")
-
-    def _template_tail(self):
+        """Spot-check that the declared decay profile dominates the
+        template's worst one-sided tail, its :func:`~halfspace.metrics.decay_for`
+        profile, on a fixed grid out to 8 sigma, the radius or the farthest
+        atom."""
         tmpl = self.template
         if tmpl.variant == GAUSSIAN:
             horizon = 8.0 * tmpl.scale
-            t_grid = np.linspace(0.0, horizon, _DOMINATION_GRID)
-            return t_grid, normal_sf(t_grid / tmpl.scale)
-        if tmpl.variant == UNIFORM_BALL:
-            t_grid = np.linspace(0.0, tmpl.scale, _DOMINATION_GRID)
-            return t_grid, _ball_tail(t_grid, tmpl.scale, tmpl.dim)
-        prof = DecayProfile.empirical(tmpl.atoms, np.zeros(tmpl.dim), budget=512, rng=0)
-        horizon = float(np.linalg.norm(tmpl.atoms.points, axis=1).max())
-        t_grid = np.linspace(0.0, horizon, _DOMINATION_GRID)
-        return t_grid, np.array([prof.eval(float(t)) for t in t_grid])
+        elif tmpl.variant == UNIFORM_BALL:
+            horizon = tmpl.scale
+        else:
+            horizon = float(np.linalg.norm(tmpl.atoms.points, axis=1).max())
+        tail = decay_for(tmpl, budget=512, rng=0)
+        for t in np.linspace(0.0, horizon, _DOMINATION_GRID).tolist():
+            if tail.eval(t) > self.decay.eval(t) + _DOMINATION_SLACK:
+                raise ValueError(
+                    f"decay profile does not dominate the template tail at t={t}")
 
     def to_json_dict(self) -> dict:
         return {"template": self.template.to_json_dict(),
@@ -215,13 +210,13 @@ class _BatteryObjective:
 
     def _sorted_rows(self, atoms: WeightedPointSet,
                      width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Projections of ``atoms`` on the battery, sorted per direction, as
+        """:meth:`_project` of ``atoms`` on the battery, sorted per direction, as
         (c, n) rows, and the (c, n + 1) masses of each row's first k ranks:
         the total less the :func:`~halfspace.depth.sorted_suffix` masses, so
         column 0 is 0 and column k + 1 is the CDF at rank k. Given a
         ``width`` above n, both are padded to it by repeating their last
         column."""
-        rows, suffix = sorted_suffix((atoms.points @ self.dirs.T).T, mass_units(atoms.weights))
+        rows, suffix = sorted_suffix(self._project(atoms.points).T, mass_units(atoms.weights))
         n, width = atoms.size, width or atoms.size
         table = np.empty((len(rows), width + 1))
         np.subtract(suffix[:, :1], suffix, out=table[:, :n + 1])
@@ -230,9 +225,11 @@ class _BatteryObjective:
         return np.pad(rows, ((0, 0), (0, width - n)), mode="edge"), table
 
     def _project(self, mus: np.ndarray) -> np.ndarray:
-        """(m, c) battery projections of the centers ``mus`` (m, d) by one
-        stacked product: numpy's matmul loop makes the product ``dirs @ mu``
-        per center, so a row has its bits, which (m, d) @ (d, c) may not."""
+        """(m, c) battery projections of the points ``mus`` (m, d), centers
+        or atoms, by one stacked product: numpy's matmul loop makes the
+        product ``dirs @ mu`` per point, so a row has its bits, which
+        (m, d) @ (d, c) may not. A center on a data atom, with a template
+        atom at 0, thus meets that atom on every direction."""
         return (self.dirs[None] @ mus[:, :, None])[..., 0]
 
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:

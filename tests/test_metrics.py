@@ -68,10 +68,13 @@ class TestDecayProfiles:
         for t in (0.0, 0.5, 1.0, 1.9):
             assert b.eval(t) == pytest.approx((2.0 - t) / 4.0, abs=1e-12)
 
-    def test_ball_inverse_bisection(self):
-        b = DecayProfile.uniform_ball(1.0, 3)
-        x = b.inverse(0.2)
-        assert b.eval(x + 1e-8) < 0.2 <= b.eval(max(x - 1e-8, 0.0))
+    def test_ball_inverse_closed_form(self):
+        # r sqrt(betaincinv(1/2, (d + 1)/2, 1 - 2y)), within 1e-12 of the drop
+        for dim in (1, 2, 3, 7):
+            b = DecayProfile.uniform_ball(1.0, dim)
+            x = b.inverse(0.2)
+            assert b.eval(x + 1e-12) < 0.2 <= b.eval(x - 1e-12)
+            assert b.inverse(0.5) == b.inverse(0.7) == 0.0
 
     def test_piecewise_square_profile(self):
         assert SQUARE_PROFILE.eval(0.5) == 0.5
@@ -102,19 +105,38 @@ class TestDecayProfiles:
         raw = hs.make_rng(9).standard_normal((budget, 2))
         dirs = np.vstack([np.eye(2), -np.eye(2), unit, -unit,
                           raw / np.linalg.norm(raw, axis=1)[:, None]])
-        proj = pts @ dirs.T
+        proj = depth._project_rows(pts, dirs).T
         ts = np.concatenate([np.unique(proj[proj >= 0]), [0.25, 1.5, 3.0, 100.0]])
         for t in ts:
             want = max(float(w[proj[:, j] > t].sum()) for j in range(len(dirs)))
             assert prof.eval(float(t)) == want
-        # the inverse lands on the step where the profile drops below y
-        steps = np.unique(proj[proj >= 0])
+        # the inverse is the projection where the profile drops below y
         for y in (0.5, 0.4, 0.3, 0.2, 0.1, 0.05):
             x = prof.inverse(y)
+            assert x == 0.0 or x in proj
             assert prof.eval(x) < y
             if x > 0.0:
-                assert prof.eval(x - 2e-10) >= y
-                assert np.min(np.abs(steps - x)) <= 1e-10
+                assert y <= prof.eval(np.nextafter(x, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 16), st.floats(1e-9, 1.0))
+    def test_empirical_inverse_is_the_jump(self, d, n, seed, budget, y_free):
+        # integer grids with ties and -0.0, weights over six decades, and y
+        # both free and at one of the profile's own masses
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+        w = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        prof = DecayProfile.empirical(WeightedPointSet(pts, w / w.sum()), np.zeros(d),
+                                      budget=budget, rng=seed)
+        masses = prof._emp_suffix[(prof._emp_suffix > 0) & (prof._emp_suffix <= 1.0)]
+        for y in (y_free, float(rng.choice(masses)) if masses.size else 1.0):
+            x = prof.inverse(y)
+            assert x == 0.0 or x in prof._emp_sorted
+            assert prof.eval(x) < y
+            if x > 0.0:
+                assert y <= prof.eval(np.nextafter(x, 0.0))
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):

@@ -30,11 +30,22 @@ class TestTemplateFamily:
             hs.TemplateFamily(hs.NamedDistribution.gaussian(np.zeros(2), 1.0),
                               DecayProfile.gaussian(1.0), np.array([[1.0, -1.0], [0.0, 1.0]]))
 
-    def test_rejects_non_dominating_decay(self):
-        # a decay profile thinner than the template's own tail must fail
-        with pytest.raises(ValueError):
-            hs.TemplateFamily(hs.NamedDistribution.gaussian(np.zeros(1), 1.0),
-                              DecayProfile.gaussian(0.2), np.array([[-1.0, 1.0]]))
+    @pytest.mark.parametrize("template,thin,thick,at", [
+        (hs.NamedDistribution.gaussian(np.zeros(2), 1.0), DecayProfile.gaussian(0.2),
+         DecayProfile.gaussian(1.0), "0.25806451612903225"),
+        (hs.NamedDistribution.ball(np.zeros(3), 1.0), DecayProfile.uniform_ball(0.5, 3),
+         DecayProfile.uniform_ball(1.0, 3), "0.03225806451612903"),
+        (hs.square_distribution(), DecayProfile.piecewise([[0.0, 0.5], [0.5, 0.25], [1.0, 0.0]]),
+         hs.square_decay_profile(), "0.5018177156807757"),
+    ], ids=["gaussian", "ball", "square"])
+    def test_rejects_non_dominating_decay(self, template, thin, thick, at):
+        # a decay profile thinner than the template's own tail must fail, at
+        # the first point of the grid (0 to 8 sigma, the radius or the
+        # farthest atom, in 32 points) where it falls short
+        box = np.array([[-1.0, 1.0]] * template.dim)
+        with pytest.raises(ValueError, match=rf"tail at t={at}$"):
+            hs.TemplateFamily(template, thin, box)
+        assert hs.TemplateFamily(template, thick, box).decay is thick
 
     def test_square_family_json_round_trip(self):
         fam = hs.square_template_family()
@@ -50,6 +61,21 @@ class TestFamilyDistance:
                                 np.array([[-1.0, 1.0]] * 2))
         p = WeightedPointSet.delta([0.3, -0.2])
         assert hs.family_distance([0.3, -0.2], fam, p, budget=64, rng=0) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 1e3, 1e7]))
+    def test_a_delta_on_a_data_atom_meets_it(self, d, n, seed, scale):
+        # atoms and centers are projected by the same product, so no
+        # direction splits a data atom from a template atom centered on it:
+        # a delta there is at d_H (n - 1)/n from n distinct uniform atoms
+        rng = np.random.default_rng(seed)
+        p = WeightedPointSet.from_points(rng.standard_normal((n, d)) * scale).consolidate()
+        tmpl = hs.NamedDistribution.discrete(np.zeros(d), WeightedPointSet.delta(np.zeros(d)))
+        fam = hs.TemplateFamily(tmpl, DecayProfile.piecewise([[0.0, 0.0]]),
+                                np.array([[-1.0, 1.0]] * d))
+        objective = _BatteryObjective(fam, p, 64, make_rng(seed))
+        assert objective.batch(p.points).max() <= (n - 1) / n + 1e-12
 
     def test_gaussian_ks_consistency(self):
         fam = gaussian_family()
@@ -259,12 +285,13 @@ def step_sup_reference(objective, p_hat, mu):
     directions in blocks: both step CDFs' right and left limits at the
     union of their jump points. Each CDF is a fixed-point sum over the
     atoms, in any order: the weights rounded to int64 units of 2**-60,
-    summed exactly and converted to float once."""
+    summed exactly and converted to float once. Atoms are projected like
+    centers, by one matrix-vector product each."""
     tmpl = objective.family.template.atoms
 
     def cols(atoms):
         # (n, c) projections and the (n,) units of their weights
-        return (atoms.points @ objective.dirs.T,
+        return (np.array([objective.dirs @ a for a in atoms.points]),
                 np.rint(atoms.weights * 2.0 ** 60).astype(np.int64))
 
     emp, emp_u = cols(p_hat.consolidate())
