@@ -124,6 +124,8 @@ class ExperimentConfig:
     refine_steps: int = 16
     proj_starts: int = 2
     proj_steps: int = 48
+    # a Tukey start for a continuous template; a discrete one ignores it and
+    # starts from its alignment centers instead
     proj_tukey_start: bool = True
     template: TemplateFamily | None = None
     decay: DecayProfile | None = None

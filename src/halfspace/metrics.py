@@ -131,7 +131,9 @@ class DecayProfile:
         n, c = atoms.size, len(dirs)
         guard_resident("decay profile", n, c, 8 * c * (2 * n + 1))
         rows, units = sorted_suffix(_project_rows(offsets, dirs), mass_units(atoms.weights))
-        suffix = units * _MASS_UNIT
+        # units are rounded per weight, so their total can pass 1 by an ulp;
+        # a true mass never does
+        suffix = np.minimum(units * _MASS_UNIT, 1.0)
         rows.setflags(write=False)
         suffix.setflags(write=False)
         return cls("empirical", dim=d, _emp_sorted=rows, _emp_suffix=suffix)

@@ -397,12 +397,16 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
                      rng: RngLike = 0, tukey_start: bool = True,
                      extra_starts=()) -> ProjectionResult:
     """Minimize the battery objective over the template center by multistart
-    pattern search (coordinate-wise median, weighted centroid, optionally a
-    Tukey candidate point, seeded random points in the search box, plus any
-    caller-provided ``extra_starts``; known-truth experiments pass the true
-    center there so the result is provably no worse than it). Deterministic
-    given the seed; the best objective never increases across iterations of
-    any single search."""
+    pattern search (coordinate-wise median, weighted centroid, any
+    caller-provided ``extra_starts``, informed starts of the template's
+    kind, then seeded random points in the search box; known-truth
+    experiments pass the true center as an extra start so the result is
+    provably no worse than it). A discrete template's informed starts are
+    the best four centers that align a template atom onto a data atom; a
+    continuous template's is a Tukey candidate point, unless ``tukey_start``
+    is False (discrete templates ignore the flag). Deterministic given the
+    seed; the best objective never increases across iterations of any
+    single search."""
     gen = make_rng(rng)
     merged = p_hat.consolidate()
     objective = _BatteryObjective(family, merged, budget, gen)
@@ -413,14 +417,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
 
     start_points = [clip(coordinatewise_median(p_hat)), clip(merged.mean())]
     start_points.extend(clip(as_point(x)) for x in extra_starts)
-    if tukey_start:
-        guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
-                                  midpoint_cap=2_000, rng=gen)
-        start_points.append(clip(guess.point))
-    if starts > 0:
-        lows, highs = box[:, 0], box[:, 1]
-        rand = lows + (highs - lows) * gen.random((starts, box.shape[0]))
-        start_points.extend(rand)
+    total_evals = 0
     if family.template.variant == DISCRETE_ATOMS:
         # Step-CDF objectives are flat away from their minima; the centers
         # that align a template atom onto a data atom are the candidate
@@ -431,12 +428,19 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         if len(align) > 4096:
             align = align[gen.choice(len(align), size=4096, replace=False)]
         align_scores = objective.batch(clip(align))
+        total_evals = len(align_scores)
         for idx in np.argsort(align_scores, kind="stable")[:4]:
             start_points.append(clip(align[idx]))
+    elif tukey_start:
+        guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
+                                  midpoint_cap=2_000, rng=gen)
+        start_points.append(clip(guess.point))
+    if starts > 0:
+        lows, highs = box[:, 0], box[:, 1]
+        rand = lows + (highs - lows) * gen.random((starts, box.shape[0]))
+        start_points.extend(rand)
     diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     best = None
-    total_evals = (len(align_scores)
-                   if family.template.variant == DISCRETE_ATOMS else 0)
     for x0 in start_points:
         x, fx, evals = pattern_search_min(objective.floored(), np.asarray(x0, dtype=float),
                                           initial_step=diameter / 4.0, rng=gen,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import halfspace as hs
 from halfspace import depth
 from halfspace.depth import BatteryScorer, _project_rows
-from halfspace.median import _candidate_pool, weighted_median_interval
+from halfspace.median import _battery_scorer, _candidate_pool, weighted_median_interval
 from halfspace.model import WEIGHT_TOL, ConfigError, WeightedPointSet
 
 
@@ -277,6 +277,29 @@ def corrupted_gaussian(n, seed, shift=0.0):
     p = hs.adaptive_corrupt_samples(clean, 0.1, hs.constant_cluster([50.0, 0.0, 0.0]),
                                     rng=seed + 1)
     return WeightedPointSet(p.points + shift, p.weights)
+
+
+class TestTranslationBy1e7:
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_scores_and_point_follow_the_shift(self, seed):
+        # the tukey_sampled_3d data on a 2^-20 grid, so that adding 1e7 is
+        # exact and every pool point but the centroid is an exact translate;
+        # the cut keys' slack grows with the coordinates, yet no pool score
+        # moves, and the chosen point moves by a few ulps of 1e7 at most
+        p = corrupted_gaussian(2000, seed)
+        grid = WeightedPointSet(np.ldexp(np.round(np.ldexp(p.points, 20)), -20), p.weights)
+        runs = []
+        for shift in (0.0, 1e7):
+            merged = WeightedPointSet(grid.points + shift, grid.weights).consolidate()
+            gen = np.random.default_rng(seed)
+            pool = _candidate_pool(merged, hs.coordinatewise_median(merged), (), 2000, gen)
+            scores = _battery_scorer(merged, 256, gen).scores(pool)
+            cand = hs.median_candidates(merged, engine="sampled", budget=256,
+                                        midpoint_cap=2000, rng=seed)
+            runs.append((scores, cand.point))
+        (near, x), (far, y) = runs
+        assert near.size > 3700 and near.tobytes() == far.tobytes()
+        assert np.abs(y - 1e7 - x).max() <= 4 * np.finfo(float).eps * 1e7
 
 
 def adversarial(kind):

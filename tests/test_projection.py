@@ -650,6 +650,37 @@ class TestProjectEstimate:
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("construction", ["tetra", "apex"])
+    def test_discrete_template_takes_no_tukey_start(self, monkeypatch, construction, seed):
+        # the alignment starts already sit in the step objective's basins,
+        # so the oracle Tukey point as one more start changes no estimate
+        # (the apex moves 0.1 to 0.4 of the mass: past 1/2 the objective is
+        # flat across centers far apart, and ties fall to the random starts)
+        family = hs.square_template_family()
+        p = (hs.attack_tetrahedron(5.0 + 20.0 * seed)[1] if construction == "tetra"
+             else hs.apex_move(hs.square_distribution().atoms_absolute(), 0.1 + 0.15 * seed, 50.0))
+        tukey = hs.median_candidates(p.consolidate(), engine="oracle", budget=512,
+                                     midpoint_cap=2_000, rng=0).point
+        kw = dict(starts=2, budget=128, steps=16, rng=70 + seed)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(projection, "median_candidates",
+                      counted("median_candidates", projection.median_candidates))
+            m.setattr(depth, "depth_oracle", counted("depth_oracle", depth.depth_oracle))
+            got = hs.project_estimate(p, family, tukey_start=True, **kw)
+        assert calls == []
+        want = hs.project_estimate(p, family, extra_starts=[tukey], **kw)
+        assert got.mu_hat.tobytes() == want.mu_hat.tobytes()
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+
     def test_apex_corruption_stays_bounded(self):
         fam = hs.square_template_family()
         corrupted = hs.apex_move(hs.square_distribution().atoms_absolute(), 0.3, 50.0)
