@@ -19,7 +19,9 @@ TREE, that writes ``OUT_DIR/<name>.csv`` (OUT_DIR is created if missing):
   construction, and the Tukey tetrahedron breakdown at the default n.
 
 Two trees, or two runs of one tree, compare with ``diff -r`` of their
-output directories: every row is byte-identical on a rerun.
+output directories: every row is byte-identical on a rerun. Each run's
+wall time, from process start to exit, goes to standard error as
+``<name> <seconds> s``, then the total; the CSVs do not hold it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ESTIMATORS = ("tukey", "projection", "cwise_median")
@@ -74,12 +77,18 @@ def main(argv=None) -> int:
         return 2
     out_dir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    total = 0.0
     with tempfile.TemporaryDirectory() as scratch:
         for name, args in runs(tree, Path(scratch)).items():
+            start = time.perf_counter()
             subprocess.run([sys.executable, "-m", "halfspace.cli", *args,
                             "--out", str(out_dir / f"{name}.csv")],
                            cwd=tree, env=env, check=True)
+            wall = time.perf_counter() - start
+            total += wall
             print(f"wrote {name}.csv", flush=True)
+            print(f"{name} {wall:.2f} s", file=sys.stderr, flush=True)
+    print(f"total {total:.2f} s", file=sys.stderr, flush=True)
     return 0
 
 

@@ -17,6 +17,10 @@ the infimum over directions ``v`` of the closed-halfspace mass
   seeded direction battery, which always contains atom-anchored normals;
   :class:`BatteryScorer` is the same bound for many queries, and both cut
   by :func:`_cut_keys`, which moves each key by a bound on its rounding.
+  Both project the atoms by :func:`_project_atoms`, one matrix product per
+  chunk of :func:`_build_chunks`, and the queries by :func:`_project_rows`,
+  coordinate by coordinate, so a query's key has the same bits in any
+  batch; the shift covers the rounding of either sum.
 
 Atoms coincident with ``mu`` lie on every boundary hyperplane and are always
 counted; they can never be rotated off. Every engine reports an int64 sum
@@ -545,9 +549,11 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     the augmentation makes many instances exact.
 
     It has the bits of :class:`BatteryScorer` on the same battery, without
-    a resident scorer: the battery's lines are projected and cut by
-    :func:`_cut_keys` in chunks of about ``_BUILD_PAIRS`` projections. The
-    witness is the first line of least mass, its +v side first."""
+    a resident scorer: the battery's lines are projected by
+    :func:`_project_atoms` in the scorer's chunks (:func:`_build_chunks`),
+    so every atom gets the scorer's bits, and each chunk is cut by
+    :func:`_cut_keys` and dropped. The witness is the first line of least
+    mass, its +v side first."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     mu = as_point(mu)
@@ -559,14 +565,13 @@ def depth_sampled(p: WeightedPointSet, mu, budget: int = 2048,
     total, slack = units.sum(), _cut_slack(lines)
     spans = _cut_spans(np.abs(p.points).max(), mu[None, :])
     masses = np.full((len(lines), 2), _NO_UNITS)          # along v, along -v
-    step = max(1, _BUILD_PAIRS // p.size)
-    for start in range(0, len(lines), step):
-        part = slice(start, start + step)
+    for part in _build_chunks(p.size, len(lines)):
         low, high = _cut_keys(lines[part], slack[part], mu[None, :], spans)
-        proj = _project_rows(p.points, lines[part])
+        proj = _project_atoms(p.points, lines[part])
         masses[part, 0] = _compare_units(proj, units, low)[:, 0]
         both = np.flatnonzero(twin[part])
-        masses[start + both, 1] = total - _compare_units(proj[both], units, high[both])[:, 0]
+        masses[part.start + both, 1] = total - _compare_units(proj[both], units,
+                                                              high[both])[:, 0]
     best = int(np.argmin(masses))
     witness = lines[best // 2] * (1.0 - 2.0 * (best % 2))
     return DepthResult(float(masses.flat[best] * _MASS_UNIT), witness, "sampled")
@@ -595,6 +600,33 @@ def guard_resident(structure: str, n: int, c: int, nbytes: int) -> None:
             f"above the {_RESIDENT_BYTES_CAP}-byte cap; use a lower budget")
 
 
+def _build_chunks(n: int, u: int):
+    """Slices of ``range(u)`` of ``_BUILD_PAIRS // n`` lines (at least one):
+    the construction chunks of a structure over n atoms and u lines. One
+    chunk's atom projections are one :func:`_project_atoms` product, whose
+    bits may depend on its shape, so every structure that must agree bit
+    for bit with another chunks its lines here."""
+    step = max(1, _BUILD_PAIRS // n)
+    return (slice(start, start + step) for start in range(0, u, step))
+
+
+def _project_atoms(points: np.ndarray, lines: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(b, n) projections of the atoms ``points`` (n, d) on ``lines`` (b, d),
+    one chunk of :func:`_build_chunks`, as one BLAS product
+    ``lines @ points.T``, written to ``out`` when it is given.
+
+    The atom side of every sampled cut. A product may round an entry
+    differently with the chunk's shape or position, so an atom's bits are
+    fixed only by its chunk; the same chunks give the same bits, and
+    :func:`_cut_keys` shifts by over twice the rounding bound of any
+    summation order, so no atom on a boundary falls off it either way. A
+    negated line gives the negated products. Queries go through
+    :func:`_project_rows` instead, so a lone query keeps its batch bits.
+    """
+    return np.matmul(lines, points.T, out=out)
+
+
 def _project_rows(points: np.ndarray, dirs: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """(c, m) projections of ``points`` (m, d) on ``dirs`` (c, d), written
@@ -602,11 +634,14 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
 
     The sum runs coordinate by coordinate, so every entry has the same bits
     whatever else is in the batch (a matrix product may round a lone row
-    differently); :func:`_cut_keys` bounds its rounding. Each coordinate's
-    products are one outer product of two contiguous columns (``np.einsum``
-    without a summed index: one rounding each, and faster than a broadcast
-    multiply), added through one temporary. A negated direction gives the
-    negated sums; a zero sum may have either sign, which no comparison sees.
+    differently): the query side of every sampled cut, where a lone query
+    must score as its row in a pool does, and the projections of the
+    oracle's ``_sides`` and the metrics; :func:`_cut_keys` bounds its
+    rounding. Each coordinate's products are one outer product of two
+    contiguous columns (``np.einsum`` without a summed index: one rounding
+    each, and faster than a broadcast multiply), added through one
+    temporary. A negated direction gives the negated sums; a zero sum may
+    have either sign, which no comparison sees.
     """
     cols, weights = np.ascontiguousarray(points.T), np.ascontiguousarray(dirs.T)
     if out is None:
@@ -627,11 +662,13 @@ def _cut_keys(lines: np.ndarray, slack: np.ndarray, queries: np.ndarray,
     :func:`_cut_slack` and the queries' :func:`_cut_spans` for atoms of
     coordinates at most ``reach`` in size; each depends on one line or one
     query only, so a caller computes it once. The closed mass along v is
-    at most the units whose :func:`_project_rows` value is at least
-    ``low``, and along -v the units below ``high``. A coordinate-wise sum
-    is within (d·eps/2)·|v|_1·|x|_inf, to first order, of the exact dot
-    product (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., 3.1); the shift (d + 1)·eps·|v|_1·(reach + |q|_inf), the outer
+    at most the units whose :func:`_project_atoms` value is at least
+    ``low``, and along -v the units below ``high``. A d-term dot product
+    summed in any order (the queries' coordinate-wise sum, or the atoms'
+    matrix product, fused multiply-adds included) is within
+    (d·eps/2)·|v|_1·|x|_inf, to first order, of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1); the
+    shift (d + 1)·eps·|v|_1·(reach + |q|_inf), the outer
     product of slack and spans, is over twice that bound for both
     projections, so, barring underflow, no rounding of the atom, the query
     or the shift drops an atom on the boundary."""
@@ -761,13 +798,15 @@ class BatteryScorer:
     the units at or above ``low`` and, where the battery holds -v, the mass
     along -v is the units below ``high``, each at least the exact mass.
 
-    The lines are projected coordinate by coordinate, straight into one
-    (u, n) array, in chunks of lines. A line is sorted in place, with its
-    :func:`sorted_suffix` masses, only when a block of
-    :func:`direction_blocks` (over lines) that holds it is reached by at
-    least ``_SORT_QUERIES`` live queries; a key on a sorted line then costs
-    one binary search per side. Below that, a side's mass is a masked sum
-    over the unsorted line, in O(n) comparisons and no sort, and the -v
+    The lines are projected by :func:`_project_atoms`, one matrix product
+    per chunk of :func:`_build_chunks`, straight into one (u, n) array, so
+    :func:`depth_sampled` on the same battery reads the same bits; queries
+    are projected coordinate by coordinate (:func:`_cut_keys`). A line is
+    sorted in place, with its :func:`sorted_suffix` masses, only when a
+    block of :func:`direction_blocks` (over lines) that holds it is reached
+    by at least ``_SORT_QUERIES`` live queries; a key on a sorted line then
+    costs one binary search per side. Below that, a side's mass is a masked
+    sum over the unsorted line, in O(n) comparisons and no sort, and the -v
     side is summed only where W less the v side, its lower bound, is below
     the query's running minimum. Since pruning stops most queries within
     the first blocks, most lines are never sorted. Retains at most
@@ -793,10 +832,9 @@ class BatteryScorer:
         # lines fill in only as they are sorted
         self._suffix = np.empty((u, n + 1), dtype=np.int64)
         self._ranked = np.zeros(u, dtype=bool)
-        self._chunk = max(1, _BUILD_PAIRS // max(1, n))
-        for start in range(0, u, self._chunk):
-            chunk = slice(start, start + self._chunk)
-            _project_rows(p.points, self._lines[chunk], out=self._proj[chunk])
+        self._chunk = max(1, _BUILD_PAIRS // n)
+        for chunk in _build_chunks(n, u):
+            _project_atoms(p.points, self._lines[chunk], out=self._proj[chunk])
 
     def _rank(self, block: slice) -> None:
         """Sort the lines of ``block`` in place, once, with their suffix
@@ -845,9 +883,9 @@ class BatteryScorer:
         whose score is at or above ``floor`` gets that exact score; any
         other gets its running minimum, which lies below ``floor`` and at or
         above its score. Each mass has the same bits in any batch and on a
-        sorted or unsorted line: projections are summed coordinate by
-        coordinate, and the mass is an exact integer sum, converted to
-        float once.
+        sorted or unsorted line: the atoms' projections are fixed at
+        construction, a query's are summed coordinate by coordinate, and
+        the mass is an exact integer sum, converted to float once.
         """
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
         spans = _cut_spans(self._reach, candidates)

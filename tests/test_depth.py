@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -713,10 +717,14 @@ def per_direction_masses(p, dirs, queries):
     fixed point: the weights rounded to int64 units of 2**-60, summed
     exactly over the atoms whose projection is at least the query's less
     the rounding bound (d + 1)·eps·|v|_1·(max |x| + |q|_inf), and converted
-    to float once."""
+    to float once. Atoms are projected as a scorer projects them, one
+    matrix product per construction chunk (of ``dirs``, not of its lines,
+    so an entry may round otherwise than in the scorer), and queries
+    coordinate by coordinate."""
     units = np.rint(p.weights * 2.0 ** 60).astype(np.int64)
     queries = np.atleast_2d(queries)
-    atoms = depth._project_rows(p.points, dirs)
+    atoms = np.vstack([depth._project_atoms(p.points, dirs[chunk])
+                       for chunk in depth._build_chunks(p.size, len(dirs))])
     keys = depth._project_rows(queries, dirs)
     reach, eps = np.abs(p.points).max(), np.finfo(float).eps
     masses = []
@@ -820,16 +828,96 @@ class TestFixedPointMasses:
     @settings(max_examples=100, deadline=None)
     @given(line_batteries())
     def test_build_projects_each_line_once(self, case):
+        # one atom product per construction chunk, each line in exactly one
         p, dirs, _ = case
         projected = []
-        real = depth._project_rows
+        real = depth._project_atoms
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(depth, "_project_rows", lambda points, rows, out=None:
+            m.setattr(depth, "_project_atoms", lambda points, rows, out=None:
                       (projected.append(rows.copy()), real(points, rows, out))[1])
             scorer = BatteryScorer(p, dirs)
         rows = np.vstack(projected)
         assert len(rows) == line_count(dirs) == line_count(rows) == scorer._proj.shape[0]
-        assert scorer._proj.tobytes() == real(p.points, rows).tobytes()
+        chunks = list(depth._build_chunks(p.size, len(rows)))
+        assert [len(chunk) for chunk in projected] == [len(rows[c]) for c in chunks]
+        assert scorer._proj.tobytes() == np.vstack([real(p.points, chunk)
+                                                    for chunk in projected]).tobytes()
+
+
+@st.composite
+def repeated_grid_sets(draw):
+    """A set of 2**k rows (k = 4 or 10) drawn from a few integer-grid cells
+    in R^3, so most atoms repeat, unmerged, with the dyadic weight 2**-k
+    each (a merged atom's weight is then its exact units sum), maybe
+    shifted by 1e7; a seeded difference battery on the merged atoms; and
+    queries on atoms, at midpoints of atom pairs and off the grid. At
+    k = 10 the battery spans several construction chunks, and the merged
+    set is chunked otherwise."""
+    k = draw(st.sampled_from([4, 10]))
+    cells = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1,
+                          max_size=6 if k == 4 else 200, unique=True))
+    rows = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2 ** k, max_size=2 ** k))
+    pts = np.array(cells, dtype=float)[rows] + draw(st.sampled_from([0.0, 1e7]))
+    p = WeightedPointSet(pts, np.full(2 ** k, 2.0 ** -k))
+    gen = hs.make_rng(draw(st.integers(0, 3)))
+    dirs = hs.direction_battery(p.consolidate().points, 16 if k == 4 else 256, gen,
+                                anchor="difference")
+    on, other = pts[gen.integers(0, len(pts), size=(2, 32))]
+    queries = np.vstack([on, 0.5 * (on + other), on + 0.5 * gen.standard_normal((32, 3))])
+    return p, dirs, queries
+
+
+class TestScorerAtomProjections:
+    """Atoms are projected by one matrix product per construction chunk,
+    whose bits may depend on an entry's position and on the chunk's shape
+    (a one-line chunk is a matrix-vector product, which rounds otherwise);
+    the cut shift covers that, so equal atoms count alike wherever they sit,
+    and no product starts a second BLAS thread."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_grid_sets(), st.sampled_from([1, 10 ** 9]))
+    def test_repeated_atoms_score_as_merged(self, case, threshold):
+        # lines sorted or compared; the unmerged set projected in chunks or
+        # line by line, against the merged set in its own chunks
+        p, dirs, queries = case
+        merged = p.consolidate()
+        assert merged.size < p.size
+        assert mass_units(merged.weights).sum() == mass_units(p.weights).sum()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(depth, "_SORT_QUERIES", threshold)
+            want = BatteryScorer(merged, dirs).scores(queries)
+            runs = [BatteryScorer(p, dirs).scores(queries)]
+            m.setattr(depth, "_BUILD_PAIRS", 1)
+            runs.append(BatteryScorer(p, dirs).scores(queries))
+        for got in runs:
+            assert got.tobytes() == want.tobytes()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the tukey_sampled_3d shape: about 1800 merged atoms, budget 256
+        script = """if True:
+            import hashlib
+            import numpy as np
+            import halfspace as hs
+            from halfspace.median import _battery_scorer, _candidate_pool
+            clean = hs.sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 2000, rng=1)
+            p = hs.adaptive_corrupt_samples(clean, 0.1, hs.constant_cluster([50.0, 0.0, 0.0]),
+                                            rng=2).consolidate()
+            gen = np.random.default_rng(1)
+            pool = _candidate_pool(p, hs.coordinatewise_median(p), (), 2000, gen)
+            scorer = _battery_scorer(p, 256, gen)
+            print(p.size, hashlib.sha256(scorer._proj.tobytes()).hexdigest())
+            rows = pool[np.linspace(0, len(pool) - 1, 64).astype(int)]
+            print(hashlib.sha256(scorer.scores(rows).tobytes()).hexdigest())
+        """
+        src = str(Path(hs.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outs = [subprocess.run([sys.executable, "-c", script], env=dict(env, **extra),
+                               capture_output=True, text=True, check=True).stdout
+                for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        size = int(outs[0].split()[0])
+        assert 1700 < size < 1900
+        assert outs[0] == outs[1]
 
 
 @st.composite

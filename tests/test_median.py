@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import halfspace as hs
 from halfspace import depth
-from halfspace.depth import BatteryScorer, _project_rows
+from halfspace.depth import BatteryScorer, _project_atoms, _project_rows
 from halfspace.median import _battery_scorer, _candidate_pool, weighted_median_interval
 from halfspace.model import WEIGHT_TOL, ConfigError, WeightedPointSet
 
@@ -252,13 +252,22 @@ def full_scores(self, candidates, floor=-np.inf):
     """Reference for ``BatteryScorer.bounded_scores``: every candidate
     scored on every direction by brute force in fixed point, over the atoms
     ``recording_init`` kept: the weights rounded to int64 units of 2**-60,
-    each closed mass summed exactly and converted to float once."""
+    each closed mass summed exactly over the atoms whose projection is at
+    least the candidate's less the rounding bound (d + 1)·eps·|v|_1·(max |x|
+    + |q|_inf), and converted to float once. Atoms are projected as the
+    scorer projects them, one matrix product per construction chunk, and
+    candidates coordinate by coordinate."""
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     units = np.rint(self.atoms.weights * 2.0 ** 60).astype(np.int64)
-    atoms = _project_rows(self.atoms.points, self.dirs)
+    n, d = self.atoms.points.shape
+    atoms = np.vstack([_project_atoms(self.atoms.points, self.dirs[chunk])
+                       for chunk in depth._build_chunks(n, len(self.dirs))])
     keys = _project_rows(candidates, self.dirs)
-    return np.array([np.where(atoms >= key[:, None], units, 0).sum(axis=1).min()
-                     for key in keys.T]) * 2.0 ** -60
+    reach, eps = np.abs(self.atoms.points).max(), np.finfo(float).eps
+    slack = (d + 1) * eps * np.abs(self.dirs).sum(axis=1)
+    return np.array([np.where(atoms >= (key - slack * (reach + np.abs(q).max()))[:, None],
+                              units, 0).sum(axis=1).min()
+                     for q, key in zip(candidates, keys.T)]) * 2.0 ** -60
 
 
 _real_init = BatteryScorer.__init__
