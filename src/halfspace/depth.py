@@ -613,16 +613,15 @@ def _build_chunks(n: int, u: int):
 def _project_atoms(points: np.ndarray, lines: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """(b, n) projections of the atoms ``points`` (n, d) on ``lines`` (b, d),
-    one chunk of :func:`_build_chunks`, as one BLAS product
-    ``lines @ points.T``, written to ``out`` when it is given.
+    one chunk of :func:`_build_chunks`: one BLAS product ``lines @
+    points.T``, written to ``out`` when it is given. The atom side of every
+    sampled cut.
 
-    The atom side of every sampled cut. A product may round an entry
-    differently with the chunk's shape or position, so an atom's bits are
-    fixed only by its chunk; the same chunks give the same bits, and
-    :func:`_cut_keys` shifts by over twice the rounding bound of any
-    summation order, so no atom on a boundary falls off it either way. A
-    negated line gives the negated products. Queries go through
-    :func:`_project_rows` instead, so a lone query keeps its batch bits.
+    An entry's bits may depend on the chunk's shape (a one-line chunk is a
+    matrix-vector product), so structures that must agree bit for bit use
+    the same chunks; :func:`_cut_keys` covers the rounding of any summation
+    order. A negated line gives the negated products. Queries go through
+    :func:`_project_rows`, so a lone query keeps its batch bits.
     """
     return np.matmul(lines, points.T, out=out)
 

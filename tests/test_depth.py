@@ -872,7 +872,7 @@ class TestScorerAtomProjections:
     whose bits may depend on an entry's position and on the chunk's shape
     (a one-line chunk is a matrix-vector product, which rounds otherwise);
     the cut shift covers that, so equal atoms count alike wherever they sit,
-    and no product starts a second BLAS thread."""
+    and a scorer's bits do not depend on the BLAS thread count."""
 
     @settings(max_examples=40, deadline=None)
     @given(repeated_grid_sets(), st.sampled_from([1, 10 ** 9]))
