@@ -16,7 +16,11 @@ TREE, that writes ``OUT_DIR/<name>.csv`` (OUT_DIR is created if missing):
   configs/square_projection.json at ``0.1,0.25`` and at ``0.25``;
 * ``sweep-scaling --n-grid 200,800`` on configs/square_projection.json;
 * ``sweep-breakdown --z-grid 10,100 --n 500`` for every estimator and
-  construction, and the Tukey tetrahedron breakdown at the default n.
+  construction, and the Tukey tetrahedron breakdown at the default n;
+* ``attack --variant tetrahedron --z 10``, then ``estimate`` on that
+  distribution with the square template of configs/square_projection.json
+  and ``--starts 3``, whose printed JSON goes to
+  ``OUT_DIR/estimate_square_tetrahedron.json``.
 
 Two trees, or two runs of one tree, compare with ``diff -r`` of their
 output directories: every row is byte-identical on a rerun. Each run's
@@ -38,9 +42,11 @@ ESTIMATORS = ("tukey", "projection", "cwise_median")
 CONSTRUCTIONS = ("tetrahedron", "pointmass_1d", "ball_additive")
 
 
-def runs(tree: Path, scratch: Path) -> dict[str, list[str]]:
-    """The CLI arguments of each reference run, by output name; the bench
-    workload configs are written to the directory ``scratch`` first."""
+def runs(tree: Path, scratch: Path, out_dir: Path) -> dict[str, list[str]]:
+    """The CLI arguments of each reference run, by output name, in run
+    order; the bench workload configs and the square template are written
+    to the directory ``scratch`` first, and the estimate reads the attack
+    run's output in ``out_dir``."""
     out = {}
     workloads = json.loads((tree / "bench" / "workloads.json").read_text())["workloads"]
     for name, spec in workloads.items():
@@ -63,6 +69,14 @@ def runs(tree: Path, scratch: Path) -> dict[str, list[str]]:
     out["breakdown_tukey_tetrahedron_default_n"] = [
         "sweep-breakdown", "--estimator", "tukey", "--construction", "tetrahedron",
         "--z-grid", "10,100"]
+    template = scratch / "square_template.json"
+    square = json.loads((tree / "configs" / "square_projection.json").read_text())
+    template.write_text(json.dumps(square["template"]))
+    out["attack_tetrahedron"] = ["attack", "--variant", "tetrahedron", "--z", "10",
+                                 "--format", "csv"]
+    out["estimate_square_tetrahedron"] = [
+        "estimate", "--dist", str(out_dir / "attack_tetrahedron.csv"), "--template",
+        str(template), "--budget", "512", "--starts", "3", "--steps", "32", "--seed", "5"]
     return out
 
 
@@ -79,14 +93,20 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     total = 0.0
     with tempfile.TemporaryDirectory() as scratch:
-        for name, args in runs(tree, Path(scratch)).items():
+        for name, args in runs(tree, Path(scratch), out_dir).items():
+            # estimate prints its result; every other run writes --out
+            printed = args[0] == "estimate"
+            target = out_dir / f"{name}.{'json' if printed else 'csv'}"
+            stdout = subprocess.PIPE if printed else None
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "halfspace.cli", *args,
-                            "--out", str(out_dir / f"{name}.csv")],
-                           cwd=tree, env=env, check=True)
+            done = subprocess.run([sys.executable, "-m", "halfspace.cli", *args,
+                                   *([] if printed else ["--out", str(target)])],
+                                  cwd=tree, env=env, check=True, stdout=stdout, text=True)
             wall = time.perf_counter() - start
             total += wall
-            print(f"wrote {name}.csv", flush=True)
+            if printed:
+                target.write_text(done.stdout)
+            print(f"wrote {target.name}", flush=True)
             print(f"{name} {wall:.2f} s", file=sys.stderr, flush=True)
     print(f"total {total:.2f} s", file=sys.stderr, flush=True)
     return 0

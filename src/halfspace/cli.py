@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--template", required=True, help="TemplateFamily JSON file")
     sp.add_argument("--budget", type=int, default=1024)
-    sp.add_argument("--starts", type=int, default=2)
+    sp.add_argument("--starts", type=int, default=2,
+                    help="random starts (a discrete template ignores them)")
     sp.add_argument("--steps", type=int, default=48)
     _add_shared(sp, "--seed")
 

@@ -122,10 +122,10 @@ class ExperimentConfig:
     budget: int = 1024
     midpoint_cap: int = 20_000
     refine_steps: int = 16
-    proj_starts: int = 2
+    proj_starts: int = 2        # random starts; a discrete template ignores them
     proj_steps: int = 48
-    # a Tukey start for a continuous template; a discrete one ignores it and
-    # starts from its alignment centers instead
+    # a Tukey start for a continuous template; a discrete one ignores it, as
+    # it ignores proj_starts, and searches from its best alignment center
     proj_tukey_start: bool = True
     template: TemplateFamily | None = None
     decay: DecayProfile | None = None

@@ -127,10 +127,10 @@ class ProjectionResult:
     objective: float
     evaluations: int
     lines: int          # battery lines (one row each) the objective read
+    searches: int       # pattern searches run, one per start
 
     def to_json_dict(self) -> dict:
-        return {"mu_hat": self.mu_hat.tolist(), "objective": self.objective,
-                "evaluations": self.evaluations, "lines": self.lines}
+        return {**vars(self), "mu_hat": self.mu_hat.tolist()}
 
 
 class _BatteryObjective:
@@ -396,17 +396,17 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
                      starts: int = 4, budget: int = 2048, steps: int = 64,
                      rng: RngLike = 0, tukey_start: bool = True,
                      extra_starts=()) -> ProjectionResult:
-    """Minimize the battery objective over the template center by multistart
-    pattern search (coordinate-wise median, weighted centroid, any
-    caller-provided ``extra_starts``, informed starts of the template's
-    kind, then seeded random points in the search box; known-truth
-    experiments pass the true center as an extra start so the result is
-    provably no worse than it). A discrete template's informed starts are
-    the best four centers that align a template atom onto a data atom; a
-    continuous template's is a Tukey candidate point, unless ``tukey_start``
-    is False (discrete templates ignore the flag). Deterministic given the
-    seed; the best objective never increases across iterations of any
-    single search."""
+    """Minimize the battery objective over the template center by pattern
+    search from each start. A continuous template starts from the
+    coordinate-wise median, the weighted centroid, any caller-provided
+    ``extra_starts``, a Tukey candidate point unless ``tukey_start`` is
+    False, then ``starts`` seeded random points in the search box. A
+    discrete template starts from the ``extra_starts``, then from the best
+    center that aligns a template atom onto a data atom (least objective,
+    then least point in lexicographic order) and ignores ``starts`` and
+    ``tukey_start``. Known-truth experiments pass the true center as an
+    extra start, so the result is provably no worse than it. Deterministic
+    given the seed; no single search's best objective ever increases."""
     gen = make_rng(rng)
     merged = p_hat.consolidate()
     objective = _BatteryObjective(family, merged, budget, gen)
@@ -415,30 +415,29 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     def clip(x):
         return np.clip(x, box[:, 0], box[:, 1])
 
-    start_points = [clip(coordinatewise_median(p_hat)), clip(merged.mean())]
-    start_points.extend(clip(as_point(x)) for x in extra_starts)
+    extras = [clip(as_point(x)) for x in extra_starts]
     total_evals = 0
     if family.template.variant == DISCRETE_ATOMS:
         # Step-CDF objectives are flat away from their minima; the centers
-        # that align a template atom onto a data atom are the candidate
-        # basin locations, so the best few join the start list.
+        # that align a template atom onto a data atom sit in their basins,
+        # and no other start ends lower than the search from the best one.
         align = (merged.points[:, None, :] - family.template.atoms.points[None, :, :])
         align = align.reshape(-1, p_hat.dim)
-        align = align[row_groups(align)[0]]
+        align = clip(align[row_groups(align)[0]])
         if len(align) > 4096:
             align = align[gen.choice(len(align), size=4096, replace=False)]
-        align_scores = objective.batch(clip(align))
+        align_scores = objective.batch(align)
         total_evals = len(align_scores)
-        for idx in np.argsort(align_scores, kind="stable")[:4]:
-            start_points.append(clip(align[idx]))
-    elif tukey_start:
-        guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
-                                  midpoint_cap=2_000, rng=gen)
-        start_points.append(clip(guess.point))
-    if starts > 0:
-        lows, highs = box[:, 0], box[:, 1]
-        rand = lows + (highs - lows) * gen.random((starts, box.shape[0]))
-        start_points.extend(rand)
+        start_points = [*extras, min(align[align_scores == align_scores.min()], key=tuple)]
+    else:
+        start_points = [clip(coordinatewise_median(p_hat)), clip(merged.mean()), *extras]
+        if tukey_start:
+            guess = median_candidates(merged, engine="auto", budget=min(budget, 512),
+                                      midpoint_cap=2_000, rng=gen)
+            start_points.append(clip(guess.point))
+        if starts > 0:
+            lows, highs = box[:, 0], box[:, 1]
+            start_points.extend(lows + (highs - lows) * gen.random((starts, box.shape[0])))
     diameter = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     best = None
     for x0 in start_points:
@@ -449,7 +448,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
         key = (fx, tuple(x))
         if best is None or key < best[0]:
             best = (key, x, fx)
-    return ProjectionResult(best[1], best[2], total_evals, len(objective.dirs))
+    return ProjectionResult(best[1], best[2], total_evals, len(objective.dirs), len(start_points))
 
 
 def certify_projection_bound(result: ProjectionResult, family: TemplateFamily,

@@ -311,6 +311,22 @@ class TestCli:
         atoms = hs.WeightedPointSet.from_csv(dist.read_text()).consolidate()
         battery = hs.direction_battery(atoms.points, 128, hs.make_rng(0), anchor="difference")
         assert payload["lines"] == len(direction_lines(battery)[0])
+        assert payload["searches"] == 1
+
+    def test_estimate_starts_parse_and_a_discrete_template_ignores_them(self, tmp_path, capsys):
+        dist = tmp_path / "tetra.csv"
+        dist.write_text(hs.attack_tetrahedron(10.0)[1].to_csv())
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(hs.square_template_family().to_json_dict()))
+        argv = ["estimate", "--dist", str(dist), "--template", str(fam), "--budget", "64",
+                "--steps", "8", "--seed", "3"]
+        outs = []
+        for starts in ("0", "2", "7"):
+            assert main([*argv, "--starts", starts]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["searches"] == 1
+        assert main([*argv, "--starts", "two"]) == 2
 
     def test_sweep_breakdown_cli(self, tmp_path):
         out = tmp_path / "b.csv"

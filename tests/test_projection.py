@@ -436,6 +436,10 @@ class TestOneRowPerLine:
         assert twin.any()
         assert res.lines == len(rows)
         assert res.to_json_dict()["lines"] == len(rows)
+        # median, centroid and one random start, or the best alignment center
+        assert res.to_json_dict()["searches"] == res.searches == (3 if family == "gaussian" else 1)
+        assert sorted(res.to_json_dict()) == ["evaluations", "lines", "mu_hat", "objective",
+                                              "searches"]
 
 
 @st.composite
@@ -624,6 +628,134 @@ class TestFlooredSearch:
         assert work <= 0.25 * exact_work
 
 
+def searched_starts(monkeypatch, *args, **kw):
+    """``project_estimate(*args, **kw)`` and the start of each pattern
+    search it ran, in order."""
+    starts = []
+    search = projection.pattern_search_min
+
+    def recorded(f, x0, **skw):
+        starts.append(np.array(x0, dtype=float))
+        return search(f, x0, **skw)
+
+    with monkeypatch.context() as m:
+        m.setattr(projection, "pattern_search_min", recorded)
+        res = hs.project_estimate(*args, **kw)
+    return res, starts
+
+
+def best_alignment_center(p, family, budget, seed):
+    """Of the clipped centers that put a template atom on a data atom, the
+    lexicographically least among those of least objective."""
+    merged = p.consolidate()
+    objective = _BatteryObjective(family, merged, budget, make_rng(seed))
+    box = family.search_box
+    centers = merged.points[:, None, :] - family.template.atoms.points[None, :, :]
+    centers = np.clip(centers.reshape(-1, p.dim), box[:, 0], box[:, 1])
+    values = objective.batch(centers)
+    return np.array(min(tuple(c) for c, v in zip(centers, values) if v == values.min()))
+
+
+def pointmass_family(half: float) -> hs.TemplateFamily:
+    template = hs.NamedDistribution.discrete(np.zeros(1), WeightedPointSet.delta([0.0]))
+    return hs.TemplateFamily(template, DecayProfile.piecewise([[0.0, 0.0]]),
+                             np.array([[-half, half]]))
+
+
+def discrete_case(name):
+    """(p, family) of a discrete-template estimate: the square template on
+    the tetrahedron or the apex move, or a delta on the half-mass point
+    attack, where both alignment centers tie at 1/2."""
+    square = hs.square_distribution().atoms_absolute()
+    return {"tetra_5": (hs.attack_tetrahedron(5.0)[1], hs.square_template_family()),
+            "tetra_45": (hs.attack_tetrahedron(45.0)[1], hs.square_template_family()),
+            "apex": (hs.apex_move(square, 0.25, 50.0), hs.square_template_family()),
+            "pointmass_up": (hs.attack_pointmass_1d(WeightedPointSet.delta([0.0]), 10.0),
+                             pointmass_family(21.0)),
+            "pointmass_down": (hs.attack_pointmass_1d(WeightedPointSet.delta([0.0]), -10.0),
+                               pointmass_family(21.0))}[name]
+
+
+DISCRETE_CASES = ["tetra_5", "tetra_45", "apex", "pointmass_up", "pointmass_down"]
+
+
+class TestStartList:
+    """A discrete template searches once from its best alignment center
+    after the caller's starts; a continuous one keeps its whole list."""
+
+    @pytest.mark.parametrize("extras", [0, 2])
+    @pytest.mark.parametrize("case", DISCRETE_CASES)
+    def test_discrete_template_searches_once_from_the_best_alignment_center(
+            self, monkeypatch, case, extras):
+        p, family = discrete_case(case)
+        extra = [np.full(p.dim, 0.5 + k) for k in range(extras)]
+        res, starts = searched_starts(monkeypatch, p, family, starts=3, budget=64, steps=8,
+                                      rng=9, extra_starts=extra)
+        assert res.searches == len(starts) == 1 + extras
+        for got, want in zip(starts, extra):
+            assert got.tobytes() == want.tobytes()
+        assert starts[-1].tobytes() == best_alignment_center(p, family, 64, 9).tobytes()
+
+    def test_the_tie_rule_picks_the_least_point(self, monkeypatch):
+        # the half-mass point attack puts 1/2 on 0 and 1/2 on z, and a delta
+        # template on either atom reads 1/2
+        for z, want in [(10.0, 0.0), (-10.0, -10.0)]:
+            p = hs.attack_pointmass_1d(WeightedPointSet.delta([0.0]), z)
+            res, starts = searched_starts(monkeypatch, p, pointmass_family(21.0), budget=64,
+                                          steps=8, rng=0)
+            assert starts[0].tolist() == [want]
+            assert res.mu_hat.tolist() == [want] and res.objective == 0.5
+
+    @pytest.mark.parametrize("case", DISCRETE_CASES)
+    def test_starts_and_tukey_start_leave_a_discrete_result_unchanged(self, case):
+        p, family = discrete_case(case)
+        kw = dict(budget=64, steps=8, rng=13)
+        want = hs.project_estimate(p, family, starts=0, tukey_start=False, **kw)
+        for starts, tukey in [(0, True), (5, False), (5, True)]:
+            got = hs.project_estimate(p, family, starts=starts, tukey_start=tukey, **kw)
+            assert got.mu_hat.tobytes() == want.mu_hat.tobytes()
+            assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+            assert (got.evaluations, got.searches) == (want.evaluations, want.searches)
+
+    @pytest.mark.parametrize("extras", [0, 1])
+    @pytest.mark.parametrize("tukey", [False, True])
+    @pytest.mark.parametrize("starts", [0, 3])
+    def test_gaussian_template_keeps_every_start(self, monkeypatch, starts, tukey, extras):
+        family = gaussian_family(d=3, half=4.0)
+        p = cluster_sample(hs.NamedDistribution.gaussian(np.zeros(3), 1.0), 200, 5)
+        extra = [np.full(3, 0.25)] * extras
+        res, got = searched_starts(monkeypatch, p, family, starts=starts, budget=32, steps=4,
+                                   rng=3, tukey_start=tukey, extra_starts=extra)
+        assert res.searches == len(got) == 2 + extras + tukey + starts
+        box = family.search_box
+        for g, want in zip(got, [hs.coordinatewise_median(p), p.consolidate().mean(), *extra]):
+            assert g.tobytes() == np.clip(want, box[:, 0], box[:, 1]).tobytes()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.25])
+    def test_dropped_starts_never_lower_the_objective(self, eps):
+        # the starts a discrete template no longer runs: the coordinate-wise
+        # median, the centroid, two seeded box points and every alignment
+        # center but the best
+        family = hs.square_template_family()
+        cfg = ExperimentConfig("projection", hs.square_distribution(),
+                               hs.AttackSpec("tetrahedron_tv", eps, 50.0), "oblivious_samples",
+                               n=2000, trials=1, budget=512, template=family, proj_starts=2,
+                               proj_steps=32)
+        for seed in spawn_seeds(31, 6):
+            p = realize_trial(cfg, eps, make_rng(seed))
+            merged = p.consolidate()
+            best = best_alignment_center(p, family, 512, 17)
+            centers = (merged.points[:, None, :] - family.template.atoms.points[None, :, :])
+            centers = np.clip(centers.reshape(-1, 3), -4.0, 4.0)
+            dropped = [hs.coordinatewise_median(p), merged.mean(),
+                       *np.random.default_rng(17).uniform(-4.0, 4.0, (2, 3)),
+                       *(c for c in centers if c.tobytes() != best.tobytes())]
+            kw = dict(budget=512, steps=32, rng=17)
+            res = hs.project_estimate(p, family, **kw)
+            assert hs.project_estimate(p, family, extra_starts=dropped, **kw).objective \
+                >= res.objective
+
+
 class TestProjectEstimate:
     def test_recovers_uncorrupted_square(self):
         fam = hs.square_template_family()
@@ -653,10 +785,11 @@ class TestProjectEstimate:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("construction", ["tetra", "apex"])
     def test_discrete_template_takes_no_tukey_start(self, monkeypatch, construction, seed):
-        # the alignment starts already sit in the step objective's basins,
-        # so the oracle Tukey point as one more start changes no estimate
-        # (the apex moves 0.1 to 0.4 of the mass: past 1/2 the objective is
-        # flat across centers far apart, and ties fall to the random starts)
+        # the best alignment start already sits in the step objective's
+        # basin, so the oracle Tukey point as one more start changes no
+        # estimate (the apex moves 0.1 to 0.4 of the mass: past 1/2 the
+        # objective is flat across centers far apart, and a tie falls to
+        # whichever start is lexicographically least)
         family = hs.square_template_family()
         p = (hs.attack_tetrahedron(5.0 + 20.0 * seed)[1] if construction == "tetra"
              else hs.apex_move(hs.square_distribution().atoms_absolute(), 0.1 + 0.15 * seed, 50.0))
@@ -729,7 +862,7 @@ class TestProjectEstimate:
 class TestCertifyBound:
     def test_vacuous_beyond_half(self):
         fam = hs.square_template_family()
-        res = hs.ProjectionResult(np.array([99.0, 99.0, 99.0]), 0.9, 1, 1)
+        res = hs.ProjectionResult(np.array([99.0, 99.0, 99.0]), 0.9, 1, 1, 1)
         assert hs.certify_projection_bound(res, fam, np.zeros(3), 0.6)
 
     def test_uncorrupted_square_certifies_with_bound_two(self):
