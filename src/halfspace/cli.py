@@ -25,11 +25,17 @@ from .model import WeightedPointSet
 from .projection import TemplateFamily, project_estimate
 
 
+def _load(flag: str, path: str, parse):
+    """``parse`` of the text of ``path``; a malformed file is a config error."""
+    try:
+        return parse(Path(path).read_text())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} {path}: {exc!r}") from exc
+
+
 def _load_pointset(path: str) -> WeightedPointSet:
-    text = Path(path).read_text()
-    if path.endswith(".json"):
-        return WeightedPointSet.from_json_dict(json.loads(text))
-    return WeightedPointSet.from_csv(text)
+    return _load("--dist", path, WeightedPointSet.from_csv if not path.endswith(".json")
+                 else lambda text: WeightedPointSet.from_json_dict(json.loads(text)))
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -163,7 +169,8 @@ def _run(args) -> int:
         return 0
     if args.command == "estimate":
         p = _load_pointset(args.dist)
-        family = TemplateFamily.from_json_dict(json.loads(Path(args.template).read_text()))
+        family = _load("--template", args.template,
+                       lambda text: TemplateFamily.from_json_dict(json.loads(text)))
         res = project_estimate(p, family, starts=args.starts, budget=args.budget,
                                steps=args.steps, rng=args.seed)
         print(json.dumps(res.to_json_dict(), sort_keys=True))

@@ -17,10 +17,15 @@ the infimum over directions ``v`` of the closed-halfspace mass
   seeded direction battery, which always contains atom-anchored normals;
   :class:`BatteryScorer` is the same bound for many queries, and both cut
   by :func:`_cut_keys`, which moves each key by a bound on its rounding.
-  Both project the atoms by :func:`_project_atoms`, one matrix product per
-  chunk of :func:`_build_chunks`, and the queries by :func:`_project_rows`,
-  coordinate by coordinate, so a query's key has the same bits in any
-  batch; the shift covers the rounding of either sum.
+
+Two projection primitives, one rule. :func:`_project_atoms`, one BLAS
+product per chunk of :func:`_build_chunks`, projects atom matrices cut only
+inside their own certified structure: :class:`BatteryScorer`,
+:func:`depth_sampled` and the sampled halfspace metric. :func:`_project_rows`,
+coordinate by coordinate with the same bits in any batch, projects every
+value compared across batches or with an outside threshold: query keys, the
+projection objective's atoms and centers, the oracle's sides, and
+``DecayProfile.empirical``, whose rows meet a template family's decay grid.
 
 Atoms coincident with ``mu`` lie on every boundary hyperplane and are always
 counted; they can never be rotated off. Every engine reports an int64 sum
@@ -614,14 +619,13 @@ def _project_atoms(points: np.ndarray, lines: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """(b, n) projections of the atoms ``points`` (n, d) on ``lines`` (b, d),
     one chunk of :func:`_build_chunks`: one BLAS product ``lines @
-    points.T``, written to ``out`` when it is given. The atom side of every
-    sampled cut.
+    points.T``, written to ``out`` when it is given. For atoms cut only
+    inside their own certified structure (module docstring).
 
     An entry's bits may depend on the chunk's shape (a one-line chunk is a
     matrix-vector product), so structures that must agree bit for bit use
     the same chunks; :func:`_cut_keys` covers the rounding of any summation
-    order. A negated line gives the negated products. Queries go through
-    :func:`_project_rows`, so a lone query keeps its batch bits.
+    order. A negated line gives the negated products.
     """
     return np.matmul(lines, points.T, out=out)
 
@@ -633,14 +637,13 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
 
     The sum runs coordinate by coordinate, so every entry has the same bits
     whatever else is in the batch (a matrix product may round a lone row
-    differently): the query side of every sampled cut, where a lone query
-    must score as its row in a pool does, and the projections of the
-    oracle's ``_sides`` and the metrics; :func:`_cut_keys` bounds its
-    rounding. Each coordinate's products are one outer product of two
-    contiguous columns (``np.einsum`` without a summed index: one rounding
-    each, and faster than a broadcast multiply), added through one
-    temporary. A negated direction gives the negated sums; a zero sum may
-    have either sign, which no comparison sees.
+    differently); :func:`_cut_keys` bounds its rounding. The products
+    commute, so ``_project_rows(dirs, points)`` is the transpose, bit for
+    bit. Each coordinate's products are one outer product of two contiguous
+    columns (``np.einsum`` without a summed index: one rounding each, and
+    faster than a broadcast multiply), added through one temporary. A
+    negated direction gives the negated sums; a zero sum may have either
+    sign, which no comparison sees.
     """
     cols, weights = np.ascontiguousarray(points.T), np.ascontiguousarray(dirs.T)
     if out is None:
@@ -797,18 +800,17 @@ class BatteryScorer:
     the units at or above ``low`` and, where the battery holds -v, the mass
     along -v is the units below ``high``, each at least the exact mass.
 
-    The lines are projected by :func:`_project_atoms`, one matrix product
-    per chunk of :func:`_build_chunks`, straight into one (u, n) array, so
-    :func:`depth_sampled` on the same battery reads the same bits; queries
-    are projected coordinate by coordinate (:func:`_cut_keys`). A line is
-    sorted in place, with its :func:`sorted_suffix` masses, only when a
-    block of :func:`direction_blocks` (over lines) that holds it is reached
-    by at least ``_SORT_QUERIES`` live queries; a key on a sorted line then
-    costs one binary search per side. Below that, a side's mass is a masked
-    sum over the unsorted line, in O(n) comparisons and no sort, and the -v
-    side is summed only where W less the v side, its lower bound, is below
-    the query's running minimum. Since pruning stops most queries within
-    the first blocks, most lines are never sorted. Retains at most
+    The lines are projected in the chunks of :func:`_build_chunks`, straight
+    into one (u, n) array, so :func:`depth_sampled` on the same battery
+    reads the same bits. A line is sorted in place, with its
+    :func:`sorted_suffix` masses, only when a block of
+    :func:`direction_blocks` (over lines) that holds it is reached by at
+    least ``_SORT_QUERIES`` live queries; a key on a sorted line then costs
+    one binary search per side. Below that, a side's mass is a masked sum
+    over the unsorted line, in O(n) comparisons and no sort, and the -v side
+    is summed only where W less the v side, its lower bound, is below the
+    query's running minimum. Since pruning stops most queries within the
+    first blocks, most lines are never sorted. Retains at most
     ``8 * u * (2 * n + 1)`` bytes (once every line is sorted) for n atoms,
     and refuses (:func:`guard_resident`, with c = u) a battery that would
     retain more.

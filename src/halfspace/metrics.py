@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (_BUILD_PAIRS, _half_turn_sweep, _project_rows, direction_battery,
-                    direction_lines, guard_resident, sorted_suffix)
+from .depth import (_build_chunks, _half_turn_sweep, _project_atoms, _project_rows,
+                    direction_battery, direction_lines, guard_resident, sorted_suffix)
 from .model import _MASS_UNIT, NamedDistribution, WeightedPointSet, as_point, mass_units, row_groups
 from .rng import RngLike, make_rng
 
@@ -237,16 +237,15 @@ def tv_distance(p: WeightedPointSet, q: WeightedPointSet) -> float:
 def _max_signed_tail(points: np.ndarray, units: np.ndarray, dirs: np.ndarray) -> float:
     """Largest |signed mass| of a halfspace cut over the directions ``dirs``.
 
-    The union is projected once per chunk of directions, and each row's
-    int64 tails come from one :func:`sorted_suffix`. A cut sits at an edge
-    of a run of tied projections, and both of its sides are read: the tail
-    from the edge on and the head below it.
+    The union is projected by one :func:`_project_atoms` product per
+    :func:`_build_chunks` chunk of directions, and each row's int64 tails
+    come from one :func:`sorted_suffix`. A cut sits at an edge of a run of
+    tied projections, and both of its sides are read: the tail from the
+    edge on and the head below it.
     """
-    n = len(points)
     best = 0
-    step = max(1, _BUILD_PAIRS // n)
-    for at in range(0, len(dirs), step):
-        ranked, suffix = sorted_suffix(_project_rows(points, dirs[at:at + step]), units)
+    for part in _build_chunks(len(points), len(dirs)):
+        ranked, suffix = sorted_suffix(_project_atoms(points, dirs[part]), units)
         edge = np.ones(suffix.shape, dtype=bool)
         edge[:, 1:-1] = ranked[:, 1:] != ranked[:, :-1]
         best = max(best, int(np.abs(suffix[edge]).max()),

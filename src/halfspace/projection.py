@@ -44,19 +44,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (direction_battery, direction_blocks, direction_lines, guard_resident,
-                    row_searchsorted, sorted_suffix)
+from .depth import (_project_rows, direction_battery, direction_blocks, direction_lines,
+                    guard_resident, row_searchsorted, sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, decay_for, normal_cdf
-from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, NamedDistribution,
-                    WeightedPointSet, as_point, mass_units, row_groups)
+from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, ConfigError,
+                    NamedDistribution, WeightedPointSet, as_point, mass_units, row_groups)
 from .optimize import floored, pattern_search_min
 from .rng import RngLike, make_rng
 
 _DOMINATION_GRID = 32
 _DOMINATION_SLACK = 1e-9
 _TEMP_BYTES = 4_000_000      # temporaries of one kernel call or one group of centers
-_CDF_SLACK = 1e-12           # covers ulp-level drops of ndtr and np.interp along a sorted row
+_CDF_SLACK = 1e-12           # covers ulp-level drops of ndtr and betainc along a sorted row
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +149,10 @@ class _BatteryObjective:
     arrays, and keeps (c, k) copies of the rows and both CDFs at its k
     coarse ranks: the first rank of every block and the last rank.
     Construction refuses (:func:`~halfspace.depth.guard_resident`) a battery
-    whose resident arrays would take too much memory.
+    whose resident arrays would take too much memory. Atoms and centers are
+    projected by :func:`~halfspace.depth._project_rows`, centers as its
+    transpose ``_project_rows(dirs, mus)``, so a center on a data atom, with
+    a template atom at 0, meets that atom on every direction.
 
     Every evaluation runs through :meth:`_sup`, which hands directions to
     the template's kernel in parts, so no temporary is (n, c); under a
@@ -200,23 +203,17 @@ class _BatteryObjective:
         # block per refined block
         self._pair_bytes = 40 * coarse.size
         self._refine_bytes = 40 * step
-        if tmpl.variant == UNIFORM_BALL:
-            # dense one-off table: the incomplete-beta cap mass is far too
-            # slow to evaluate per probe; interpolation error is ~1e-7
-            grid = np.linspace(-tmpl.scale, tmpl.scale, 4097)
-            tail = _ball_tail(np.abs(grid), tmpl.scale, tmpl.dim)
-            self._ball_grid = grid
-            self._ball_cdf = np.where(grid >= 0.0, 1.0 - tail, tail)
 
     def _sorted_rows(self, atoms: WeightedPointSet,
                      width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_project` of ``atoms`` on the battery, sorted per direction, as
+        """The projections of ``atoms`` on the battery, sorted per direction, as
         (c, n) rows, and the (c, n + 1) masses of each row's first k ranks:
         the total less the :func:`~halfspace.depth.sorted_suffix` masses, so
         column 0 is 0 and column k + 1 is the CDF at rank k. Given a
         ``width`` above n, both are padded to it by repeating their last
         column."""
-        rows, suffix = sorted_suffix(self._project(atoms.points).T, mass_units(atoms.weights))
+        rows, suffix = sorted_suffix(_project_rows(atoms.points, self.dirs),
+                                     mass_units(atoms.weights))
         n, width = atoms.size, width or atoms.size
         table = np.empty((len(rows), width + 1))
         np.subtract(suffix[:, :1], suffix, out=table[:, :n + 1])
@@ -224,23 +221,15 @@ class _BatteryObjective:
         table[:, n + 1:] = table[:, n:n + 1]
         return np.pad(rows, ((0, 0), (0, width - n)), mode="edge"), table
 
-    def _project(self, mus: np.ndarray) -> np.ndarray:
-        """(m, c) battery projections of the points ``mus`` (m, d), centers
-        or atoms, by one stacked product: numpy's matmul loop makes the
-        product ``dirs @ mu`` per point, so a row has its bits, which
-        (m, d) @ (d, c) may not. A center on a data atom, with a template
-        atom at 0, thus meets that atom on every direction."""
-        return (self.dirs[None] @ mus[:, :, None])[..., 0]
-
     def _template_cdf(self, shifted: np.ndarray) -> np.ndarray:
-        """Continuous template CDF at center-relative projection values;
-        scales ``shifted`` in place."""
+        """Continuous template CDF at center-relative projection values, the
+        ball's exact by :func:`_ball_tail`; scales a Gaussian ``shifted`` in place."""
         tmpl = self.family.template
         if tmpl.variant == GAUSSIAN:
             shifted /= tmpl.scale
             return normal_cdf(shifted)
-        flat = np.interp(shifted.ravel(), self._ball_grid, self._ball_cdf, left=0.0, right=1.0)
-        return flat.reshape(shifted.shape)
+        tail = _ball_tail(np.abs(shifted), tmpl.scale, tmpl.dim)
+        return np.where(shifted >= 0.0, 1.0 - tail, tail)
 
     def _continuous_block(self, t0: np.ndarray, cols: np.ndarray, running: np.ndarray,
                           floor: float) -> np.ndarray:
@@ -358,10 +347,8 @@ class _BatteryObjective:
         case of :meth:`_sup`, over groups of centers whose (group, c)
         arrays stay within ``_TEMP_BYTES``."""
         group = max(1, _TEMP_BYTES // (8 * len(self.dirs)))
-        out = np.empty(len(mus))
-        for start in range(0, len(mus), group):
-            out[start:start + group] = self._sup(self._project(mus[start:start + group]))
-        return out
+        return np.concatenate([self._sup(_project_rows(self.dirs, mus[at:at + group]))
+                               for at in range(0, len(mus), group)])
 
     def floored(self):
         """A fresh :func:`~halfspace.optimize.floored` objective for one
@@ -374,7 +361,7 @@ class _BatteryObjective:
         def evaluate(mus: np.ndarray, floor: float) -> np.ndarray:
             nonlocal order
             per_direction = np.empty((len(mus), len(self.dirs)))
-            values = self._sup(self._project(mus), floor, order, per_direction)
+            values = self._sup(_project_rows(self.dirs, mus), floor, order, per_direction)
             best = int(np.argmin(values))
             if values[best] < floor:
                 order = np.argsort(-per_direction[best], kind="stable")
@@ -406,7 +393,11 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     then least point in lexicographic order) and ignores ``starts`` and
     ``tukey_start``. Known-truth experiments pass the true center as an
     extra start, so the result is provably no worse than it. Deterministic
-    given the seed; no single search's best objective ever increases."""
+    given the seed; no single search's best objective ever increases.
+    ``starts < 0``, ``steps < 0`` and ``budget < 1`` raise ``ConfigError``."""
+    for name, value, least in (("starts", starts, 0), ("steps", steps, 0), ("budget", budget, 1)):
+        if value < least:
+            raise ConfigError(f"--{name} must be at least {least}, got {value}")
     gen = make_rng(rng)
     merged = p_hat.consolidate()
     objective = _BatteryObjective(family, merged, budget, gen)

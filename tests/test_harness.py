@@ -328,6 +328,36 @@ class TestCli:
         assert json.loads(outs[0])["searches"] == 1
         assert main([*argv, "--starts", "two"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--starts", "-1"), ("--steps", "-1"),
+                                             ("--budget", "0")])
+    def test_estimate_refuses_a_setting_the_config_refuses(self, tmp_path, capsys, flag, value):
+        # ExperimentConfig refuses proj_starts < 0, proj_steps < 0 and
+        # budget < 1; project_estimate refuses them too, so the CLI exits 2
+        dist = tmp_path / "tetra.csv"
+        dist.write_text(hs.attack_tetrahedron(10.0)[1].to_csv())
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(hs.square_template_family().to_json_dict()))
+        assert main(["estimate", "--dist", str(dist), "--template", str(fam), "--steps", "4",
+                     flag, value]) == 2
+        assert f"config error: {flag} must be at least" in capsys.readouterr().err
+
+    def test_estimate_with_an_experiment_config_as_template_exits_2(self, tmp_path, capsys):
+        # an experiment config holds its family under "template": the file
+        # itself lacks the TemplateFamily keys
+        dist = tmp_path / "tetra.csv"
+        dist.write_text(hs.attack_tetrahedron(10.0)[1].to_csv())
+        config = Path(__file__).resolve().parents[1] / "configs" / "square_projection.json"
+        assert main(["estimate", "--dist", str(dist), "--template", str(config)]) == 2
+        assert "config error: --template" in capsys.readouterr().err
+
+    def test_estimate_with_a_bad_dist_header_exits_2(self, tmp_path, capsys):
+        dist = tmp_path / "bad.csv"
+        dist.write_text("x,y,z\n1,2,3\n")
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(hs.square_template_family().to_json_dict()))
+        assert main(["estimate", "--dist", str(dist), "--template", str(fam)]) == 2
+        assert "config error: --dist" in capsys.readouterr().err
+
     def test_sweep_breakdown_cli(self, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["sweep-breakdown", "--estimator", "tukey", "--construction",

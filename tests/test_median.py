@@ -136,6 +136,20 @@ class TestMedianCandidates:
         r = hs.median_candidates(p, engine="sampled", budget=64, rng=263)
         assert r.achieved_depth >= hs.depth_oracle(p, r.point).value
 
+    def test_depths_apart_by_a_merged_atoms_rounding_tie(self):
+        # five duplicates merge into one atom whose units are those of its
+        # own weight, 16 units below five single atoms' units; so at 1 (the
+        # closed side holds the cluster and one atom) and at 2 (six single
+        # atoms) the depth is 6/12, but the sums differ by one ulp. The
+        # 1e-12 tie window ties them, and the point nearest the centroid
+        # (1/4, 0) wins
+        p = uniform([[-5.0, 0.0]] * 5 + [[float(x), 0.0] for x in range(1, 8)])
+        at_cluster, at_singles = (hs.compute_depth(p, [x, 0.0]).value for x in (1.0, 2.0))
+        assert 0.0 < at_singles - at_cluster <= np.spacing(0.5)
+        r = hs.median_candidates(p)
+        assert r.point.tolist() == [1.0, 0.0]
+        assert r.achieved_depth == at_singles
+
 
 class TestMedianRefine:
     def test_fixed_point_at_max_depth(self):

@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 import halfspace as hs
 from halfspace import depth, projection
 from halfspace.harness import ExperimentConfig, realize_trial
-from halfspace.metrics import DecayProfile, normal_cdf
+from halfspace.metrics import DecayProfile, _ball_tail, normal_cdf
 from halfspace.model import ConfigError, WeightedPointSet
 from halfspace.projection import _BatteryObjective
 from halfspace.rng import make_rng, spawn_seeds
+
+
+def centers_on(objective, mus):
+    """(m, c) projections of the centers ``mus`` as the objective takes
+    them: ``depth._project_rows`` with the battery as the points."""
+    return depth._project_rows(objective.dirs, np.atleast_2d(mus))
 
 
 def gaussian_family(d: int = 1, sigma: float = 1.0, half: float = 5.0) -> hs.TemplateFamily:
@@ -122,7 +128,7 @@ class TestFamilyDistance:
         finally:
             tracemalloc.stop()
         assert peak < n * c * 8
-        f = normal_cdf((objective.emp_sorted - (objective.dirs @ mu)[:, None]) / 0.7)
+        f = normal_cdf((objective.emp_sorted - centers_on(objective, mu).T) / 0.7)
         want = max(np.max(objective.emp_cdf - f), np.max(f - objective.emp_left), 0.0)
         assert value == want
         assert objective(mu) == value
@@ -135,15 +141,18 @@ class TestFamilyDistance:
 
 def full_row_sups(objective, mus):
     """(m, c) per-direction sup distances at the centers ``mus`` by the
-    full-row formula: the template CDF at every sorted projection."""
+    full-row formula: the template CDF at every sorted projection; a
+    uniform ball's is its incomplete-beta tail of |s|, taken from 1 at
+    s >= 0."""
     tmpl = objective.family.template
     out = np.empty((len(mus), len(objective.dirs)))
-    for i, mu in enumerate(mus):
-        shifted = objective.emp_sorted - (objective.dirs @ mu)[:, None]
+    for i, t in enumerate(centers_on(objective, mus)):
+        shifted = objective.emp_sorted - t[:, None]
         if tmpl.variant == "gaussian_isotropic":
             f = normal_cdf(shifted / tmpl.scale)
         else:
-            f = np.interp(shifted, objective._ball_grid, objective._ball_cdf, left=0.0, right=1.0)
+            tail = _ball_tail(np.abs(shifted), tmpl.scale, tmpl.dim)
+            f = np.where(shifted >= 0.0, 1.0 - tail, tail)
         out[i] = np.maximum(np.max(objective.emp_cdf - f, axis=1),
                             np.max(f - objective.emp_left, axis=1))
     return out
@@ -181,7 +190,7 @@ class TestContinuousKernel:
         family, p, centers = case
         objective = _BatteryObjective(family, p, 8, hs.make_rng(seed))
         want = full_row_sups(objective, centers)
-        t0 = objective._project(centers)
+        t0 = centers_on(objective, centers)
         got = np.empty(t0.shape)
         for j in range(t0.shape[1]):
             cols = np.array([j])
@@ -204,7 +213,7 @@ class TestContinuousKernel:
         assert objective._block_sorted.shape[2] == 8
         mu = np.array([[3.0]])
         want = full_row_sups(objective, mu)
-        t0 = objective._project(mu)
+        t0 = centers_on(objective, mu)
         got = [objective._continuous_block(t0[:, [j]], np.array([j]), np.zeros(1), math.inf)
                for j in range(t0.shape[1])]
         assert np.hstack(got).tobytes() == want.tobytes()
@@ -218,6 +227,18 @@ class TestContinuousKernel:
         # bound needs the slack to stay an upper bound
         x = np.sort((np.float64(x0).view(np.int64) + np.arange(-10_000, 10_000)).view(np.float64))
         drops = -np.diff(normal_cdf(x))
+        assert drops.max() > 0.0
+        assert drops.max() < 1e-3 * projection._CDF_SLACK
+
+    @pytest.mark.parametrize("x0", [0.5, -0.5])
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_ball_cdf_drops_by_ulps_where_the_slack_covers_it(self, d, x0):
+        # the uniform ball's CDF, from scipy's betainc, is not monotone
+        # between adjacent floats either; it drops by at most 2.2e-16
+        objective = object.__new__(_BatteryObjective)
+        objective.family = ball_family(d=d)
+        x = np.sort((np.float64(x0).view(np.int64) + np.arange(-10_000, 10_000)).view(np.float64))
+        drops = -np.diff(objective._template_cdf(x))
         assert drops.max() > 0.0
         assert drops.max() < 1e-3 * projection._CDF_SLACK
 
@@ -285,18 +306,18 @@ def step_sup_reference(objective, p_hat, mu):
     directions in blocks: both step CDFs' right and left limits at the
     union of their jump points. Each CDF is a fixed-point sum over the
     atoms, in any order: the weights rounded to int64 units of 2**-60,
-    summed exactly and converted to float once. Atoms are projected like
-    centers, by one matrix-vector product each."""
+    summed exactly and converted to float once. Atoms and the center are
+    projected as the objective projects them, by ``depth._project_rows``."""
     tmpl = objective.family.template.atoms
 
     def cols(atoms):
         # (n, c) projections and the (n,) units of their weights
-        return (np.array([objective.dirs @ a for a in atoms.points]),
+        return (depth._project_rows(atoms.points, objective.dirs).T,
                 np.rint(atoms.weights * 2.0 ** 60).astype(np.int64))
 
     emp, emp_u = cols(p_hat.consolidate())
     tpl, tpl_u = cols(tmpl)
-    tpl = tpl + (objective.dirs @ mu)[None, :]
+    tpl = tpl + centers_on(objective, mu)
     grid = np.vstack([emp, tpl])[:, None]
 
     def cdf(atoms, units, below):
@@ -336,7 +357,7 @@ class TestDiscreteKernel:
     def test_equals_the_einsum_formula_per_direction(self, case, seed):
         p, centers = case
         objective = _BatteryObjective(hs.square_template_family(), p, 8, hs.make_rng(seed))
-        got = objective._discrete_block(objective._project(centers),
+        got = objective._discrete_block(centers_on(objective, centers),
                                         np.arange(len(objective.dirs)))
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
         assert got.tobytes() == want.tobytes()
@@ -353,7 +374,7 @@ class TestDiscreteKernel:
                             or kernel(t0, cols))
         centers = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
         c = len(objective.dirs)
-        whole = kernel(objective._project(centers), np.arange(c))
+        whole = kernel(centers_on(objective, centers), np.arange(c))
         battery, half = list(range(c)), (c + 1) // 2
         for pairs, want in [(projection._TEMP_BYTES // objective._pair_bytes, [(4, battery)]),
                             (2 * c + 1, [(2, battery)] * 2), (c, [(1, battery)] * 4),
@@ -380,7 +401,7 @@ class TestFloorFreeSpan:
     def test_one_span_has_the_bits_of_the_block_walk(self, case, budget, seed):
         family, p, centers = case
         objective = _BatteryObjective(family, p, budget, hs.make_rng(seed))
-        t0 = objective._project(centers)
+        t0 = centers_on(objective, centers)
         # no value reaches 2.0, so the floored call still walks the blocks
         walked = objective._sup(t0, floor=2.0)
         assert np.all(walked < 2.0)
@@ -445,7 +466,8 @@ class TestOneRowPerLine:
 @st.composite
 def battery_and_centers(draw):
     """Unit rows (c, d) with signed zeros, and (m, d) centers whose
-    coordinates range from 1e-9 to 1e7 in size, either sign."""
+    coordinates range from 1e-9 to 1e7 in size, either sign, all shifted by
+    0 or 1e7, with some coordinates -0.0."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d, c, m = draw(st.integers(1, 5)), draw(st.integers(1, 600)), draw(st.integers(1, 64))
     dirs = rng.standard_normal((c, d))
@@ -454,20 +476,32 @@ def battery_and_centers(draw):
     dirs[size == 0.0, 0] = 1.0
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     mus = rng.choice([-1.0, 1.0], (m, d)) * 10.0 ** rng.uniform(-9.0, 7.0, (m, d))
+    mus += draw(st.sampled_from([0.0, 1e7]))
+    mus[rng.random((m, d)) < 0.1] = -0.0
     return dirs, mus
 
 
-class TestStackedProjection:
+class TestCenterProjection:
     @settings(max_examples=80, deadline=None)
-    @given(battery_and_centers())
-    def test_has_the_bits_of_one_product_per_center(self, case):
-        # a numpy or BLAS build that rounds a stacked product differently
-        # from a lone matrix-vector product fails here
+    @given(battery_and_centers(), st.integers(0, 2 ** 32 - 1))
+    def test_a_center_row_has_the_same_bits_alone_and_in_any_batch(self, case, seed):
+        # the objective sums a center's projections coordinate by coordinate,
+        # so its row does not depend on the batch, and it has the bits of an
+        # atom at the same point
         dirs, mus = case
         objective = object.__new__(_BatteryObjective)
         objective.dirs = dirs
-        want = np.array([dirs @ mu for mu in mus])
-        assert objective._project(mus).tobytes() == want.tobytes()
+        seen = []
+        objective._sup = lambda t0: seen.append(t0.copy()) or np.zeros(len(t0))
+        order = np.random.default_rng(seed).permutation(len(mus))
+        objective.batch(mus)
+        objective.batch(mus[order])
+        for mu in mus:
+            objective.batch(mu[None])
+        batch = seen[0]
+        assert seen[1].tobytes() == batch[order].tobytes()
+        assert np.vstack(seen[2:]).tobytes() == batch.tobytes()
+        assert depth._project_rows(mus, dirs).T.tobytes() == batch.tobytes()
 
 
 class TestFlooredSearch:
@@ -502,7 +536,7 @@ class TestFlooredSearch:
         c, n = objective.emp_sorted.shape
 
         def per_direction(mu):
-            f = normal_cdf(objective.emp_sorted - (objective.dirs @ mu)[:, None])
+            f = normal_cdf(objective.emp_sorted - centers_on(objective, mu).T)
             return np.maximum(np.max(objective.emp_cdf - f, axis=1),
                               np.max(f - objective.emp_left, axis=1))
 
@@ -585,7 +619,7 @@ class TestFlooredSearch:
         merged = p.consolidate()
         align = (merged.points[:, None, :] - family.template.atoms.points[None]).reshape(-1, 3)
         centers = np.vstack([align, np.random.default_rng(1).uniform(-2.0, 2.0, (8, 3))])
-        t0 = objective._project(centers)
+        t0 = centers_on(objective, centers)
         per_direction = np.empty(t0.shape)
         values = objective._sup(t0, per_direction=per_direction)
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
@@ -757,6 +791,11 @@ class TestStartList:
 
 
 class TestProjectEstimate:
+    @pytest.mark.parametrize("kw", [dict(starts=-1), dict(steps=-1), dict(budget=0)])
+    def test_refuses_what_the_experiment_config_refuses(self, kw):
+        with pytest.raises(ConfigError, match="must be at least"):
+            hs.project_estimate(hs.attack_tetrahedron(10.0)[1], hs.square_template_family(), **kw)
+
     def test_recovers_uncorrupted_square(self):
         fam = hs.square_template_family()
         res = hs.project_estimate(hs.square_distribution().atoms_absolute(), fam,
