@@ -56,7 +56,7 @@ def _parse_decay(text: str) -> DecayProfile:
         radius, _, dim = rest.partition(":")
         return DecayProfile.uniform_ball(float(radius), int(dim or 3))
     if kind == "piecewise":
-        return DecayProfile.from_json_dict(json.loads(Path(rest).read_text()))
+        return _load("--decay", rest, lambda text: DecayProfile.from_json_dict(json.loads(text)))
     raise ConfigError(f"unknown decay spec {text!r} "
                       "(use gaussian:SIGMA, ball:R:D, or piecewise:FILE)")
 

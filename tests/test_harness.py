@@ -350,6 +350,12 @@ class TestCli:
         assert main(["estimate", "--dist", str(dist), "--template", str(config)]) == 2
         assert "config error: --template" in capsys.readouterr().err
 
+    def test_bounds_with_a_bad_piecewise_decay_file_exits_2(self, capsys):
+        config = Path(__file__).resolve().parents[1] / "configs" / "square_projection.json"
+        assert main(["bounds", "--model", "projection", "--d", "3", "--eps", "0.1",
+                     "--decay", f"piecewise:{config}"]) == 2
+        assert "config error: --decay" in capsys.readouterr().err
+
     def test_estimate_with_a_bad_dist_header_exits_2(self, tmp_path, capsys):
         dist = tmp_path / "bad.csv"
         dist.write_text("x,y,z\n1,2,3\n")
