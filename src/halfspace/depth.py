@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -221,6 +221,18 @@ def _rank(off: np.ndarray, btol: float) -> int:
     return max(1, int(np.sum(np.linalg.svd(off, compute_uv=False) > btol)))
 
 
+def _subsets(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) indices of the k-subsets of ``range(n)`` in
+    ``combinations`` order, which is ``triu_indices``' order for pairs;
+    other sizes are read from ``combinations`` into one array."""
+    if k == 2:
+        return np.column_stack(np.triu_indices(n, 1))
+    count = math.comb(n, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), dtype=np.intp,
+                       count=count * k)
+    return flat.reshape(count, k)
+
+
 def _level_normals(off: np.ndarray, btol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate normals of one level of full rank d, n >= d: the axes,
     then the normals of the (d - 1)-subsets of ``off`` (n, d) in
@@ -238,7 +250,7 @@ def _level_normals(off: np.ndarray, btol: float) -> tuple[np.ndarray, np.ndarray
     on one side: the boundary's minimal mass is 0.
     """
     n, d = off.shape
-    rows = off[np.array(list(combinations(range(n), d - 1)), dtype=np.intp)]  # (m, d - 1, d)
+    rows = off[_subsets(n, d - 1)]                                    # (m, d - 1, d)
     if d == 2:
         raw = np.column_stack([-rows[:, 0, 1], rows[:, 0, 0]])
         regular = np.ones(len(raw), dtype=bool)
@@ -517,7 +529,7 @@ def _anchored_normals(base: np.ndarray, subset_size: int, budget: int,
         return np.empty((0, d))
     total = math.comb(n, subset_size)
     if total <= budget:
-        idx = np.array(list(combinations(range(n), subset_size)))
+        idx = _subsets(n, subset_size)
     else:
         idx = rng.integers(0, n, size=(budget, subset_size))
         distinct = np.ones(len(idx), dtype=bool)
@@ -659,8 +671,8 @@ def _project_rows(points: np.ndarray, dirs: np.ndarray,
 
 def _cut_keys(lines: np.ndarray, slack: np.ndarray, queries: np.ndarray,
               spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one rounding rule of every sampled mass: (b, m) keys ``(low,
-    high)`` of ``queries`` (m, d) on ``lines`` (b, d), given the lines'
+    """The one rounding rule of every battery comparison: (b, m) keys
+    ``(low, high)`` of ``queries`` (m, d) on ``lines`` (b, d), given the lines'
     :func:`_cut_slack` and the queries' :func:`_cut_spans` for atoms of
     coordinates at most ``reach`` in size; each depends on one line or one
     query only, so a caller computes it once. The closed mass along v is
@@ -673,9 +685,16 @@ def _cut_keys(lines: np.ndarray, slack: np.ndarray, queries: np.ndarray,
     shift (d + 1)·eps·|v|_1·(reach + |q|_inf), the outer
     product of slack and spans, is over twice that bound for both
     projections, so, barring underflow, no rounding of the atom, the query
-    or the shift drops an atom on the boundary."""
-    keys = _project_rows(queries, lines)
-    shift = np.multiply.outer(slack, spans)
+    or the shift drops an atom on the boundary. The discrete projection
+    objective moves its template jumps by this shift through
+    :func:`_shift_keys`, with the template's atoms in ``reach``."""
+    return _shift_keys(_project_rows(queries, lines), np.multiply.outer(slack, spans))
+
+
+def _shift_keys(keys: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_cut_keys` pair of ``keys`` moved by ``shift``: ``keys -
+    shift``, and the least float above ``keys + shift``, so a search below
+    it counts the values at or below ``keys + shift``."""
     return keys - shift, np.nextafter(keys + shift, math.inf)
 
 
@@ -918,9 +937,11 @@ def resolve_engine(p: WeightedPointSet, queries: int, engine: str = "auto",
                    budget: int = 2048) -> str:
     """The one engine policy: check ``engine`` for ``p`` and resolve
     ``"auto"`` for ``queries`` depth queries. ``auto`` takes ``exact1d`` at
-    d = 1, ``sweep2d`` at d = 2 while ``queries * n <= _SWEEP_ATOM_QUERIES``,
-    ``oracle`` while ``C(n, d - 1) * queries <= _ORACLE_SUBSET_QUERIES`` (it
-    enumerates the (d - 1)-subsets per query), and ``sampled`` otherwise.
+    d = 1; ``sweep2d`` at d = 2 for one query at any n (one O(n log n)
+    sweep, where the sampled engine projects every atom once per
+    direction), or while ``queries * n <= _SWEEP_ATOM_QUERIES``; ``oracle``
+    while ``C(n, d - 1) * queries <= _ORACLE_SUBSET_QUERIES`` (it
+    enumerates the (d - 1)-subsets per query); and ``sampled`` otherwise.
     An unknown name, ``exact1d``/``sweep2d`` on data of another dimension
     and ``budget < 1`` raise ``ConfigError``."""
     if engine not in ENGINES:
@@ -935,7 +956,7 @@ def resolve_engine(p: WeightedPointSet, queries: int, engine: str = "auto",
         return engine
     if p.dim == 1:
         return "exact1d"
-    if p.dim == 2 and queries * p.size <= _SWEEP_ATOM_QUERIES:
+    if p.dim == 2 and (queries == 1 or queries * p.size <= _SWEEP_ATOM_QUERIES):
         return "sweep2d"
     if math.comb(p.size, p.dim - 1) * queries <= _ORACLE_SUBSET_QUERIES:
         return "oracle"

@@ -34,7 +34,8 @@ formula.
 A discrete template is read only at its own k jumps: between two of them
 the template CDF is constant and the empirical one nondecreasing, so one
 binary search per jump and limit gives each (center, direction) value in
-O(k log n), with the bits of a comparison at every jump of both CDFs.
+O(k log n), both limits read at the jump moved by depth's cut shift, so
+each value is a certified lower bound on its line's exact sup.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import (_project_rows, direction_battery, direction_blocks, direction_lines,
-                    guard_resident, row_searchsorted, sorted_suffix)
+from .depth import (_cut_slack, _cut_spans, _project_rows, _shift_keys, direction_battery,
+                    direction_blocks, direction_lines, guard_resident, row_searchsorted,
+                    sorted_suffix)
 from .median import coordinatewise_median, median_candidates
 from .metrics import DecayProfile, _ball_tail, decay_for, normal_cdf
 from .model import (_MASS_UNIT, DISCRETE_ATOMS, GAUSSIAN, UNIFORM_BALL, ConfigError,
@@ -134,8 +136,8 @@ class ProjectionResult:
 
 
 class _BatteryObjective:
-    """Max over a fixed direction battery of the exact per-direction sup
-    distance between the translated template CDF and the empirical CDF.
+    """Max over a fixed direction battery of the per-direction sup distance
+    between the translated template CDF and the empirical CDF.
 
     ``dirs`` holds one row per line of the drawn battery, its first row
     (:func:`~halfspace.depth.direction_lines`), so c below counts lines: a
@@ -158,7 +160,7 @@ class _BatteryObjective:
     the template's kernel in parts, so no temporary is (n, c); under a
     floor the parts are the blocks of
     :func:`~halfspace.depth.direction_blocks`. Calling the objective, or
-    :meth:`batch`, gives exact values; ``floored()`` gives the objective
+    :meth:`batch`, gives floor-free values; ``floored()`` gives the objective
     one pattern search minimizes. Both go through the same kernels.
     """
 
@@ -181,6 +183,9 @@ class _BatteryObjective:
             self._tpl_sorted, self._tpl_table = self._sorted_rows(tmpl.atoms)
             # the empirical less the template CDF past both supports
             self._tail = self._emp_table[0, -1] - self._tpl_table[0, -1]
+            # the cut shift's line factors and its reach: data and template atoms
+            self._slack = _cut_slack(self.dirs)
+            self._reach = np.abs(p_hat.points).max() + np.abs(tmpl.atoms.points).max()
             # bytes per (center, direction) pair: at most ten 8-byte values per key
             self._pair_bytes = 160 * tmpl.atoms.size
             return
@@ -272,23 +277,26 @@ class _BatteryObjective:
         return np.maximum(np.max(self._block_cdf[rows, blocks] - f, axis=1),
                           np.max(f - self._block_left[rows, blocks], axis=1))
 
-    def _discrete_block(self, t0: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(r, b) exact sup distances between two step CDFs on directions
-        ``cols`` (b,) for centers whose projections on them are ``t0``
-        (r, b), read at the shifted template jumps x_j = s_j + t.
+    def _discrete_block(self, t0: np.ndarray, cols: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        """(r, b) certified lower bounds on the sup distances between two
+        step CDFs on directions ``cols`` (b,) for centers whose projections
+        on them are ``t0`` (r, b) and whose cut spans are ``spans`` (r,),
+        read at the template jumps x_j = s_j + t.
 
         With F the empirical CDF and T_j the template mass of its first j
         ranks, T is constant between jumps and F nondecreasing, so the sup
         is the max over j of F(x_j-) - T_{j-1} and T_j - F(x_j), and of
         ``_tail`` past both supports; of tied template atoms the first and
-        the last give the limits. F(x-) counts the atoms below x, and F(x)
-        those below ``nextafter(x, +inf)``: no float lies between x and it,
-        so those are the atoms at or below x.
+        the last give the limits. F(x_j-) counts the atoms below x_j
+        lowered by the :func:`~halfspace.depth._cut_keys` shift, and F(x_j)
+        those at or below x_j raised by it: the shift is over twice the
+        rounding of x_j and of the data, so no atom changes sides.
         """
         r, b = t0.shape
         jumps = self._tpl_sorted[cols] + t0[:, :, None]               # (r, b, k)
         k = jumps.shape[2]
-        keys = np.concatenate([jumps, np.nextafter(jumps, np.inf)], axis=2).reshape(r * b, 2 * k)
+        shift = np.multiply.outer(spans, self._slack[cols])[:, :, None]
+        keys = np.concatenate(_shift_keys(jumps, shift), axis=2).reshape(r * b, 2 * k)
         rows = np.tile(cols, r)
         emp = self._emp_table[rows[:, None], row_searchsorted(self.emp_sorted, keys, rows)]
         emp = emp.reshape(r, b, 2 * k)
@@ -297,25 +305,27 @@ class _BatteryObjective:
         fall = np.max(tpl[:, 1:] - emp[..., k:], axis=2)
         return np.maximum(np.maximum(rise, fall, out=rise), self._tail, out=rise)
 
-    def _sup(self, t0: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
+    def _sup(self, mus: np.ndarray, floor: float = math.inf, order: np.ndarray | None = None,
              per_direction: np.ndarray | None = None) -> np.ndarray:
-        """Running max of the per-direction sup distances at the centers whose
-        battery projections are the rows of ``t0`` (m, c), over directions
-        taken in ``order`` (battery order if None): in the blocks of
-        :func:`~halfspace.depth.direction_blocks`, a center dropping out once
-        its running max reaches ``floor``, or in one span with no floor.
+        """Running max of the per-direction sup distances at the centers
+        ``mus`` (m, d), over directions taken in ``order`` (battery order if
+        None): in the blocks of :func:`~halfspace.depth.direction_blocks`, a
+        center dropping out once its running max reaches ``floor``, or in
+        one span with no floor.
 
         Returns the (m,) values, and fills the kernels' per-direction values
-        into ``per_direction`` (m, c) when the caller passes one: exact for
-        a discrete template; for a continuous one, lower bounds that are
-        exact wherever the sup exceeds the kernel's bar. A value below
-        ``floor`` is the exact objective; otherwise it is a lower bound on
-        the objective that is at least ``floor``. Each block is handed to
-        the template's kernel with each center's running max, in parts of
-        at most ``_TEMP_BYTES`` of temporaries. Neither the blocks, their
-        order nor the parts change the bits of a value: each entry is
+        into ``per_direction`` (m, c) when the caller passes one: certified
+        lower bounds for a discrete template; for a continuous one, lower
+        bounds that are exact wherever the sup exceeds the kernel's bar. A
+        value below ``floor`` is the objective; otherwise it is a lower
+        bound on the objective that is at least ``floor``. Each block is
+        handed to the template's kernel with each center's running max, in
+        parts of at most ``_TEMP_BYTES`` of temporaries. Neither the blocks,
+        their order nor the parts change the bits of a value: each entry is
         computed on its own, and a max is exact.
         """
+        t0 = _project_rows(self.dirs, mus)                             # (m, c)
+        spans = _cut_spans(self._reach, mus) if self._discrete else None
         m, c = t0.shape
         order = np.arange(c) if order is None else order
         pairs = max(1, _TEMP_BYTES // self._pair_bytes)   # (center, direction) pairs per part
@@ -332,7 +342,7 @@ class _BatteryObjective:
                 for start in range(0, live.size, rows):
                     part = live[start:start + rows]
                     t = t0[part[:, None], cols]
-                    got = (self._discrete_block(t, cols) if self._discrete
+                    got = (self._discrete_block(t, cols, spans[part]) if self._discrete
                            else self._continuous_block(t, cols, values[part], floor))
                     if per_direction is not None:
                         per_direction[part[:, None], cols] = got
@@ -343,11 +353,11 @@ class _BatteryObjective:
         return float(self.batch(mu[None, :])[0])
 
     def batch(self, mus: np.ndarray) -> np.ndarray:
-        """Exact objective at each row of ``mus`` (m, d): the floor-free
+        """The objective at each row of ``mus`` (m, d): the floor-free
         case of :meth:`_sup`, over groups of centers whose (group, c)
         arrays stay within ``_TEMP_BYTES``."""
         group = max(1, _TEMP_BYTES // (8 * len(self.dirs)))
-        return np.concatenate([self._sup(_project_rows(self.dirs, mus[at:at + group]))
+        return np.concatenate([self._sup(mus[at:at + group])
                                for at in range(0, len(mus), group)])
 
     def floored(self):
@@ -361,7 +371,7 @@ class _BatteryObjective:
         def evaluate(mus: np.ndarray, floor: float) -> np.ndarray:
             nonlocal order
             per_direction = np.empty((len(mus), len(self.dirs)))
-            values = self._sup(_project_rows(self.dirs, mus), floor, order, per_direction)
+            values = self._sup(mus, floor, order, per_direction)
             best = int(np.argmin(values))
             if values[best] < floor:
                 order = np.argsort(-per_direction[best], kind="stable")

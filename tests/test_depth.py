@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -210,13 +209,13 @@ class TestDepthOracle:
         # enumerates more, and the value is the depth in the plane
         monkeypatch.setattr(depth, "ORACLE_SUBSET_GUARD", 8)
         counts = []
+        subsets = depth._subsets
 
-        def counting(pool, k):
-            subsets = list(combinations(pool, k))
-            counts.append(len(subsets))
-            return subsets
+        def counting(n, k):
+            counts.append(math.comb(n, k))
+            return subsets(n, k)
 
-        monkeypatch.setattr(depth, "combinations", counting)
+        monkeypatch.setattr(depth, "_subsets", counting)
         rng = hs.make_rng(0)
         plane = rng.standard_normal((8, 2))
         p = uniform(plane @ rng.standard_normal((2, 7)))
@@ -481,6 +480,20 @@ class TestEnginePolicy:
             depth.resolve_engine(p, 1, engine, budget)
         with pytest.raises(ConfigError, match=message):
             hs.compute_depth(p, np.zeros(d), engine=engine, budget=budget)
+
+    def test_a_lone_planar_query_sweeps_at_any_n(self, monkeypatch):
+        # one O(n log n) sweep, where the sampled engine projects every atom
+        # once per direction; more queries keep the atom-query budget
+        monkeypatch.setattr(depth, "_SWEEP_ATOM_QUERIES", 10)
+        monkeypatch.setattr(depth, "_ORACLE_SUBSET_QUERIES", 10)
+        rng = np.random.default_rng(5)
+        p = uniform(rng.standard_normal((50, 2)))
+        mu = 0.1 * rng.standard_normal(2)
+        assert depth.resolve_engine(p, 1) == "sweep2d"
+        assert depth.resolve_engine(p, 2) == "sampled"
+        res = hs.compute_depth(p, mu)
+        assert res.engine == "sweep2d"
+        assert res.value == hs.depth_2d_sweep(p, mu).value
 
     def test_lone_query_follows_the_median_rule(self):
         # C(65, 2) = 2080 subsets: the oracle, as a median search of one

@@ -100,6 +100,17 @@ class TestFamilyDistance:
         d = hs.family_distance(np.zeros(3), fam, tetra, budget=256, rng=0)
         assert 0.2 <= d <= 0.25 + 1e-12
 
+    def test_a_lattice_translated_square_reads_zero(self):
+        # the template jumps round as v.a + v.mu and the data as v.(a + mu);
+        # the cut shift covers both, so data equal to the template read 0
+        fam = hs.square_template_family()
+        square = fam.template.atoms
+        rng = np.random.default_rng(0)
+        for seed in range(200):
+            mu = rng.integers(-16, 17, 3) / 8.0
+            p = WeightedPointSet(square.points + mu, square.weights)
+            assert hs.family_distance(mu, fam, p, budget=256, rng=seed) == 0.0
+
     def test_translation_by_1e7_keeps_objective(self):
         # float64 projections keep the objective at the true center far from
         # the origin, where single precision cannot resolve a unit shift
@@ -302,30 +313,48 @@ def counted_estimate(monkeypatch, floored, p, family, **kw):
 
 def step_sup_reference(objective, p_hat, mu):
     """Per-direction sup distances between the square template at ``mu``
-    and ``p_hat`` by the einsum formula the objective used before it took
-    directions in blocks: both step CDFs' right and left limits at the
-    union of their jump points. Each CDF is a fixed-point sum over the
-    atoms, in any order: the weights rounded to int64 units of 2**-60,
-    summed exactly and converted to float once. Atoms and the center are
-    projected as the objective projects them, by ``depth._project_rows``."""
+    and ``p_hat`` by an einsum formula at the template's jumps x, each
+    limit read with the data moved off the jump by the cut shift
+    (d + 1)·eps·|v|_1·(reach + |mu|_inf), reach the largest data and
+    template coordinates: the data's mass below x - shift less the
+    template's below x, the template's at or below x less the data's below
+    the float after x + shift, and the difference of the two total masses.
+    Each CDF is a fixed-point sum over the atoms, in any order: the weights
+    rounded to int64 units of 2**-60, summed exactly and converted to float
+    once. Atoms and the center are projected as the objective projects
+    them, by ``depth._project_rows``."""
     tmpl = objective.family.template.atoms
+    merged = p_hat.consolidate()
 
     def cols(atoms):
         # (n, c) projections and the (n,) units of their weights
         return (depth._project_rows(atoms.points, objective.dirs).T,
                 np.rint(atoms.weights * 2.0 ** 60).astype(np.int64))
 
-    emp, emp_u = cols(p_hat.consolidate())
+    emp, emp_u = cols(merged)
     tpl, tpl_u = cols(tmpl)
-    tpl = tpl + centers_on(objective, mu)
-    grid = np.vstack([emp, tpl])[:, None]
+    jumps = tpl + centers_on(objective, mu)                         # (k, c)
+    reach = np.abs(merged.points).max() + np.abs(tmpl.points).max()
+    d = objective.dirs.shape[1]
+    shift = (d + 1) * np.finfo(float).eps * np.abs(objective.dirs).sum(axis=1) \
+        * (reach + np.abs(mu).max())
 
-    def cdf(atoms, units, below):
-        return np.einsum("gac,a->gc", below(atoms[None], grid), units) * 2.0 ** -60
+    def mass(atoms, units, below, keys):
+        # (k, c) masses of the atoms ``below`` each key
+        return np.einsum("kac,a->kc", below(atoms[None], keys[:, None]), units) * 2.0 ** -60
 
-    f_right, f_left = cdf(emp, emp_u, np.less_equal), cdf(emp, emp_u, np.less)
-    q_right, q_left = cdf(tpl, tpl_u, np.less_equal), cdf(tpl, tpl_u, np.less)
-    return np.maximum(np.abs(f_right - q_right).max(axis=0), np.abs(f_left - q_left).max(axis=0))
+    rise = mass(emp, emp_u, np.less, jumps - shift) - mass(jumps, tpl_u, np.less, jumps)
+    fall = mass(jumps, tpl_u, np.less_equal, jumps) \
+        - mass(emp, emp_u, np.less, np.nextafter(jumps + shift, np.inf))
+    tail = emp_u.sum() * 2.0 ** -60 - tpl_u.sum() * 2.0 ** -60
+    return np.maximum(np.maximum(rise.max(axis=0), fall.max(axis=0)), tail)
+
+
+def discrete_kernel(objective, centers, cols):
+    """``_discrete_block`` on directions ``cols`` at the centers ``centers``,
+    with the projections and spans ``_sup`` hands it."""
+    return objective._discrete_block(centers_on(objective, centers)[:, cols], cols,
+                                     depth._cut_spans(objective._reach, centers))
 
 
 @st.composite
@@ -357,8 +386,7 @@ class TestDiscreteKernel:
     def test_equals_the_einsum_formula_per_direction(self, case, seed):
         p, centers = case
         objective = _BatteryObjective(hs.square_template_family(), p, 8, hs.make_rng(seed))
-        got = objective._discrete_block(centers_on(objective, centers),
-                                        np.arange(len(objective.dirs)))
+        got = discrete_kernel(objective, centers, np.arange(len(objective.dirs)))
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
         assert got.tobytes() == want.tobytes()
 
@@ -370,11 +398,11 @@ class TestDiscreteKernel:
         calls = []
         kernel = objective._discrete_block
         monkeypatch.setattr(objective, "_discrete_block",
-                            lambda t0, cols: calls.append((len(t0), cols.tolist()))
-                            or kernel(t0, cols))
+                            lambda t0, cols, spans: calls.append((len(t0), cols.tolist()))
+                            or kernel(t0, cols, spans))
         centers = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
         c = len(objective.dirs)
-        whole = kernel(centers_on(objective, centers), np.arange(c))
+        whole = discrete_kernel(objective, centers, np.arange(c))
         battery, half = list(range(c)), (c + 1) // 2
         for pairs, want in [(projection._TEMP_BYTES // objective._pair_bytes, [(4, battery)]),
                             (2 * c + 1, [(2, battery)] * 2), (c, [(1, battery)] * 4),
@@ -384,6 +412,46 @@ class TestDiscreteKernel:
             values = objective.batch(centers)
             assert calls == want
             assert values.tobytes() == whole.max(axis=1).tobytes()
+
+
+@st.composite
+def planar_lattice_cases(draw):
+    """A symmetric planar template, data and centers on one lattice of
+    spacing 1, 1.25 or 1.5 times a power of two from 2**-30 to 2**40, so
+    that every a + mu is exact; centers inside the search box [-4, 4]² (in
+    spacings) and out to three times it, with the alignment centers that put
+    a template atom on a data atom; or data and centers moved together by
+    up to 2**20 spacings, far outside the box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spacing = draw(st.sampled_from([1.0, 1.25, 1.5])) * 2.0 ** draw(st.integers(-30, 40))
+    half = rng.integers(-3, 4, (draw(st.integers(1, 3)), 2))
+    w = rng.random(len(half)) + 0.1
+    template = WeightedPointSet(np.vstack([half, -half]) * spacing,
+                                np.concatenate([w, w]) / (2.0 * w.sum()))
+    n = draw(st.integers(1, 12))
+    w = rng.random(n) + 0.01 if draw(st.booleans()) else np.ones(n)
+    offset = rng.integers(-2 ** 20, 2 ** 20, 2) if draw(st.booleans()) else np.zeros(2, int)
+    p = WeightedPointSet((rng.integers(-6, 7, (n, 2)) + offset) * spacing, w / w.sum())
+    align = p.points[rng.integers(0, n, 3)] - template.points[rng.integers(0, len(half), 3)]
+    centers = np.vstack([align, (rng.integers(-12, 13, (4, 2)) + offset) * spacing])
+    family = hs.TemplateFamily(hs.NamedDistribution.discrete(np.zeros(2), template),
+                               DecayProfile.piecewise([[0.0, 1.0]]),
+                               np.array([[-4.0, 4.0]] * 2) * spacing)
+    return family, p, centers
+
+
+class TestCertifiedLowerBound:
+    @settings(max_examples=300, deadline=None)
+    @given(planar_lattice_cases(), st.sampled_from([8, 64]), st.integers(0, 3))
+    def test_discrete_objective_is_at_most_the_exact_planar_metric(self, case, budget, seed):
+        # each per-direction value reads the data off the exact jumps, so
+        # the objective never exceeds d_H(p, T_mu) at any scale or center
+        family, p, centers = case
+        values = _BatteryObjective(family, p, budget, hs.make_rng(seed)).batch(centers)
+        atoms = family.template.atoms
+        for mu, value in zip(centers, values):
+            exact = hs.halfspace_metric(p, WeightedPointSet(atoms.points + mu, atoms.weights))
+            assert value <= exact + 4 * np.finfo(float).eps
 
 
 @st.composite
@@ -401,11 +469,10 @@ class TestFloorFreeSpan:
     def test_one_span_has_the_bits_of_the_block_walk(self, case, budget, seed):
         family, p, centers = case
         objective = _BatteryObjective(family, p, budget, hs.make_rng(seed))
-        t0 = centers_on(objective, centers)
         # no value reaches 2.0, so the floored call still walks the blocks
-        walked = objective._sup(t0, floor=2.0)
+        walked = objective._sup(centers, floor=2.0)
         assert np.all(walked < 2.0)
-        assert objective._sup(t0).tobytes() == walked.tobytes()
+        assert objective._sup(centers).tobytes() == walked.tobytes()
 
 
 def drawn_battery(p, budget, seed):
@@ -421,8 +488,6 @@ class TestOneRowPerLine:
     def test_reads_each_line_once_and_keeps_the_full_battery_value(self, case, budget, seed):
         family, p, centers = case
         discrete = family.template.variant == "discrete_atoms"
-        if discrete:
-            budget = 8      # the einsum reference takes (n, n, c) booleans
         objective = _BatteryObjective(family, p, budget, hs.make_rng(seed))
         battery = drawn_battery(p, budget, seed)
         # no twin rows, and every line of the drawn battery is among the rows
@@ -490,9 +555,12 @@ class TestCenterProjection:
         # atom at the same point
         dirs, mus = case
         objective = object.__new__(_BatteryObjective)
-        objective.dirs = dirs
+        # one part holds every center and direction, so the kernel gets the
+        # whole (m, c) projection of each batch
+        objective.dirs, objective._discrete, objective._pair_bytes = dirs, False, 1
         seen = []
-        objective._sup = lambda t0: seen.append(t0.copy()) or np.zeros(len(t0))
+        objective._continuous_block = lambda t0, cols, running, floor: (
+            seen.append(t0.copy()) or np.zeros(t0.shape))
         order = np.random.default_rng(seed).permutation(len(mus))
         objective.batch(mus)
         objective.batch(mus[order])
@@ -592,7 +660,8 @@ class TestFlooredSearch:
         pairs = []
         kernel = objective._discrete_block
         monkeypatch.setattr(objective, "_discrete_block",
-                            lambda t0, cols: pairs.append(t0.size) or kernel(t0, cols))
+                            lambda t0, cols, spans: pairs.append(t0.size)
+                            or kernel(t0, cols, spans))
         values = f(probes)
         assert sum(pairs) == sum(taken) < len(probes) * c
         assert values.tolist() == want
@@ -619,9 +688,8 @@ class TestFlooredSearch:
         merged = p.consolidate()
         align = (merged.points[:, None, :] - family.template.atoms.points[None]).reshape(-1, 3)
         centers = np.vstack([align, np.random.default_rng(1).uniform(-2.0, 2.0, (8, 3))])
-        t0 = centers_on(objective, centers)
-        per_direction = np.empty(t0.shape)
-        values = objective._sup(t0, per_direction=per_direction)
+        per_direction = np.empty((len(centers), len(objective.dirs)))
+        values = objective._sup(centers, per_direction=per_direction)
         want = np.array([step_sup_reference(objective, p, mu) for mu in centers])
         assert per_direction.tobytes() == want.tobytes()
         assert values.tobytes() == np.maximum(want.max(axis=1), 0.0).tobytes()
