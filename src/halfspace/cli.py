@@ -48,15 +48,25 @@ def _parse_point(text: str) -> np.ndarray:
     return point
 
 
+def _parse_grid(flag: str, text: str, kind=float) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _parse_decay(text: str) -> DecayProfile:
     kind, _, rest = text.partition(":")
-    if kind == "gaussian":
-        return DecayProfile.gaussian(float(rest or 1.0))
-    if kind == "ball":
-        radius, _, dim = rest.partition(":")
-        return DecayProfile.uniform_ball(float(radius), int(dim or 3))
     if kind == "piecewise":
         return _load("--decay", rest, lambda text: DecayProfile.from_json_dict(json.loads(text)))
+    try:
+        if kind == "gaussian":
+            return DecayProfile.gaussian(float(rest or 1.0))
+        if kind == "ball":
+            radius, _, dim = rest.partition(":")
+            return DecayProfile.uniform_ball(float(radius), int(dim or 3))
+    except ValueError as exc:
+        raise ConfigError(f"--decay {text!r}: {exc}") from None
     raise ConfigError(f"unknown decay spec {text!r} "
                       "(use gaussian:SIGMA, ball:R:D, or piecewise:FILE)")
 
@@ -199,17 +209,17 @@ def _run(args) -> int:
         return 0
     if args.command == "sweep-bias":
         config = ExperimentConfig.from_json(Path(args.config).read_text())
-        grid = [float(v) for v in args.eps_grid.split(",")] if args.eps_grid else []
+        grid = _parse_grid("--eps-grid", args.eps_grid) if args.eps_grid else []
         _emit_report(run_bias_sweep(config, grid, timing=args.timing), args)
         return 0
     if args.command == "sweep-breakdown":
-        grid = [float(v) for v in args.z_grid.split(",")]
+        grid = _parse_grid("--z-grid", args.z_grid)
         _emit_report(run_breakdown_sweep(args.estimator, args.construction, grid,
                                          seed=args.seed, n=args.n, timing=args.timing), args)
         return 0
     if args.command == "sweep-scaling":
         config = ExperimentConfig.from_json(Path(args.config).read_text())
-        grid = [int(v) for v in args.n_grid.split(",")]
+        grid = _parse_grid("--n-grid", args.n_grid, int)
         _emit_report(run_scaling(config, grid, timing=args.timing), args)
         return 0
     raise ConfigError(f"unknown subcommand {args.command!r}")

@@ -11,7 +11,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .metrics import tv_distance
-from .model import DISCRETE_ATOMS, NamedDistribution, WeightedPointSet, as_point, sample
+from .model import (DISCRETE_ATOMS, ConfigError, NamedDistribution, WeightedPointSet, as_point,
+                    sample)
 from .rng import RngLike, make_rng
 
 ATTACK_VARIANTS = ("pointmass_1d", "ball_additive", "tetrahedron_tv", "shift_cluster", "none")
@@ -117,9 +118,9 @@ def square_distribution() -> NamedDistribution:
 def attack_tetrahedron(z: float) -> tuple[WeightedPointSet, WeightedPointSet]:
     """Move the square corner (1, 1, 0) to the apex (-0.5, -0.5, z), turning
     the square into a tetrahedron at total-variation distance exactly 1/4.
-    Returns (clean, corrupted)."""
+    Returns (clean, corrupted); ``z <= 0`` raises ``ConfigError``."""
     if not z > 0:
-        raise ValueError("z must be positive")
+        raise ConfigError(f"z must be positive, got {z!r}")
     p_star = square_distribution().atoms_absolute()
     p = WeightedPointSet.from_points(
         [[-1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-0.5, -0.5, float(z)]])
@@ -164,16 +165,13 @@ def attack_pointmass_1d(p_star: WeightedPointSet, z: float) -> WeightedPointSet:
 
 
 def shift_cluster(p_star: WeightedPointSet, eps: float, z: float,
-                  direction=None, cluster_point=None) -> WeightedPointSet:
+                  cluster_point=None) -> WeightedPointSet:
     """Generic experiment adversary: replace ``eps`` mass by a single far
-    atom at distance ``z`` from the weighted centroid along ``direction``
-    (first axis by default), or at an explicit ``cluster_point``."""
+    atom at distance ``z`` from the weighted centroid along the first axis,
+    or at an explicit ``cluster_point``."""
     if cluster_point is None:
         u = np.zeros(p_star.dim)
         u[0] = 1.0
-        if direction is not None:
-            u = as_point(direction)
-            u = u / np.linalg.norm(u)
         cluster_point = p_star.mean() + z * u
     return additive_corrupt(p_star, eps, WeightedPointSet.delta(cluster_point))
 

@@ -176,19 +176,15 @@ def _half_turn_sweep(points: np.ndarray, units: np.ndarray, queries: np.ndarray)
 # ---------------------------------------------------------------------------
 
 def _null_normals(vectors: np.ndarray, d: int) -> list[np.ndarray]:
-    """Unit normals orthogonal to the span of ``vectors``.
+    """Unit normals orthogonal to the span of the d - 1 rows of ``vectors``
+    (d - 1, d).
 
     Full-rank spans (rank d-1) contribute their unique normal. Degenerate
     spans contribute an orthonormal basis of the orthogonal complement plus
     the normalized projections of the canonical axes onto it.
     """
-    if vectors.shape[0] == 0:
-        return [np.eye(d)[i] for i in range(d)]
     _, s, vh = np.linalg.svd(vectors, full_matrices=True)
-    tol = max(vectors.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    if rank >= d:
-        return []
+    rank = int(np.sum(s > d * np.finfo(float).eps * s[0]))
     if rank == d - 1:
         return [vh[d - 1]]
     basis = vh[rank:]
@@ -492,11 +488,15 @@ def depth_oracle(p: WeightedPointSet, mu) -> DepthResult:
 def direction_battery(points: np.ndarray, budget: int, rng: np.random.Generator,
                       anchor: str = "offset", mu: np.ndarray | None = None) -> np.ndarray:
     """Seeded direction set: canonical axes, atom-anchored hyperplane normals
-    (both orientations), then uniform sphere directions up to ``budget``.
+    (both orientations), then ``budget`` uniform sphere directions.
 
     ``anchor='offset'`` uses hyperplanes through ``mu`` and d-1 atoms (depth
     queries); ``anchor='difference'`` uses hyperplanes through d atoms
-    (distribution comparisons).
+    (distribution comparisons). The anchors are all subsets while there
+    are at most ``budget``, else those of distinct atoms among ``budget``
+    seeded draws, and the battery keeps every anchor's normal up to the
+    budget, but a vanishing one at d <= 3 (at d >= 4 a degenerate subset
+    gives the first vector of its null space).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -542,17 +542,17 @@ def _anchored_normals(base: np.ndarray, subset_size: int, budget: int,
     vec = base[idx]                                # (m, subset_size, d)
     if difference:
         vec = vec[:, 1:, :] - vec[:, :1, :]
-    if d == 2 and vec.shape[1] == 1:
+    if d == 2:
         flat = vec[:, 0, :]
         normals = np.column_stack([-flat[:, 1], flat[:, 0]])
-    elif d == 3 and vec.shape[1] == 2:
+    elif d == 3:
         normals = np.cross(vec[:, 0, :], vec[:, 1, :])
     else:
-        cap = min(len(vec), 4096)
-        normals = np.array([ns[0] if (ns := _null_normals(m, d)) else np.zeros(d)
-                            for m in vec[:cap]])
-    if normals.size == 0:
-        return np.empty((0, d))
+        # row ``rank`` of each subset's vh: its null vector, or the first
+        # vector of its null space when the subset is degenerate
+        _, s, vh = np.linalg.svd(vec, full_matrices=True)
+        rank = np.sum(s > d * np.finfo(float).eps * s[:, :1], axis=1)
+        normals = vh[np.arange(len(vh)), rank]
     norms = np.linalg.norm(normals, axis=1)
     normals = normals[norms > 1e-12]
     return normals / np.linalg.norm(normals, axis=1)[:, None]

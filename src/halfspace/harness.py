@@ -32,6 +32,7 @@ from .rng import make_rng, seed_fingerprint, spawn_seeds
 CSV_COLUMNS = ("trial", "estimator", "attack", "mode", "eps", "eps_tilde",
                "n", "d", "error", "score", "bound", "seed", "ms")
 ESTIMATORS = ("tukey", "projection", "cwise_median")
+_BALL_BUDGET = 4096     # battery budget of the ball breakdown's far-point depth
 # integer fields of ExperimentConfig and their least values
 _INTEGER_FIELDS = (("n", 1), ("trials", 1), ("seed", 0), ("budget", 1), ("midpoint_cap", 1),
                    ("refine_steps", 0), ("proj_starts", 0), ("proj_steps", 0))
@@ -108,7 +109,8 @@ class ExperimentReport:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment: estimator, population, adversary, sampling mode, and
-    the reproducibility and budget knobs."""
+    the reproducibility and budget knobs; the bias bound reads
+    :meth:`decay_profile`. :meth:`from_json` refuses an unknown key."""
 
     estimator: str
     distribution: NamedDistribution
@@ -128,7 +130,6 @@ class ExperimentConfig:
     # it ignores proj_starts, and searches from its best alignment center
     proj_tukey_start: bool = True
     template: TemplateFamily | None = None
-    decay: DecayProfile | None = None
 
     def __post_init__(self):
         from .corruption import CORRUPTION_MODES
@@ -155,8 +156,7 @@ class ExperimentConfig:
             raise ConfigError("population modes need a discrete distribution")
 
     def decay_profile(self) -> DecayProfile:
-        if self.decay is not None:
-            return self.decay
+        """The template family's decay profile, else the population's."""
         if self.template is not None:
             return self.template.decay
         return decay_for(self.distribution)
@@ -171,8 +171,6 @@ class ExperimentConfig:
                 kwargs["attack"] = AttackSpec.from_json(obj["attack"])
             if "template" in obj:
                 kwargs["template"] = TemplateFamily.from_json_dict(obj["template"])
-            if "decay" in obj:
-                kwargs["decay"] = DecayProfile.from_json_dict(obj["decay"])
             return cls(**kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -294,7 +292,7 @@ def _tetrahedron_probe(p: WeightedPointSet) -> np.ndarray:
 
 
 def run_breakdown_sweep(estimator: str, construction: str, z_grid: Sequence[float],
-                        *, seed: int = 0, n: int = 5000, budget: int = 4096,
+                        *, seed: int = 0, n: int = 5000,
                         timing: bool = False) -> ExperimentReport:
     """Drive a named worst-case construction to larger and larger distances.
 
@@ -302,12 +300,15 @@ def run_breakdown_sweep(estimator: str, construction: str, z_grid: Sequence[floa
     the worst-case bias: the depth of an adversarially far point is verified
     (exactly, via the oracle, where feasible) to match the maximum candidate
     depth, so the far point is a depth maximizer and its distance from the
-    clean center is achievable bias.
+    clean center is achievable bias. The ball construction samples ``n``
+    points and scores the far point on a battery of budget ``_BALL_BUDGET``.
     """
     if construction not in ("tetrahedron", "pointmass_1d", "ball_additive"):
         raise ConfigError(f"unknown construction {construction!r}")
     if estimator not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {estimator!r}")
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
     report = ExperimentReport(meta={"kind": "breakdown", "estimator": estimator,
                                     "attack": construction, "seed": str(seed),
                                     "mode": "tv_population", "c_vc": "0.5",
@@ -322,7 +323,7 @@ def run_breakdown_sweep(estimator: str, construction: str, z_grid: Sequence[floa
         elif construction == "pointmass_1d":
             row = _breakdown_pointmass(estimator, float(z), rng, i)
         else:
-            row = _breakdown_ball(estimator, float(z), n, budget, rng, i)
+            row = _breakdown_ball(estimator, float(z), n, rng, i)
         ms = int(1000 * (time.perf_counter() - start)) if timing else 0
         report.rows.append(replace(row, seed=seed_fingerprint(ss), ms=ms))
     return report
@@ -371,7 +372,7 @@ def _breakdown_pointmass(estimator: str, z: float, rng, trial: int) -> ReportRow
                      p.size, 1, error, score, math.inf, 0, 0)
 
 
-def _breakdown_ball(estimator: str, z: float, n: int, budget: int, rng, trial: int) -> ReportRow:
+def _breakdown_ball(estimator: str, z: float, n: int, rng, trial: int) -> ReportRow:
     dist = NamedDistribution.ball(np.zeros(3), 1.0)
     eps = 1.0 / 3.0
     clean = sample(dist, n, rng)
@@ -380,13 +381,12 @@ def _breakdown_ball(estimator: str, z: float, n: int, budget: int, rng, trial: i
 
     p = additive_corrupt(clean, eps, WeightedPointSet.delta(far))
     if estimator == "tukey":
-        far_depth = depth_sampled(p, far, budget=budget, rng=rng).value
+        far_depth = depth_sampled(p, far, budget=_BALL_BUDGET, rng=rng).value
         error, score = float(z), far_depth
         bound = bias_bound_tv(decay_for(dist), eps, 3).value
     elif estimator == "projection":
         family = TemplateFamily(dist, decay_for(dist), np.array([[-2.0, max(2.0, z)]] * 3))
-        res = project_estimate(p, family, starts=2, budget=min(budget, 128),
-                               steps=24, rng=rng)
+        res = project_estimate(p, family, starts=2, budget=128, steps=24, rng=rng)
         error, score = float(np.linalg.norm(res.mu_hat)), res.objective
         bound = bias_bound_projection(decay_for(dist), eps, 3).value
     else:

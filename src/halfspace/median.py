@@ -17,11 +17,10 @@ import numpy as np
 from .depth import (BatteryScorer, compute_depth, depth_2d_sweep_many, direction_battery,
                     resolve_engine, sorted_suffix)
 from .model import _MASS_UNIT, WeightedPointSet, as_point, mass_units, row_groups
-from .optimize import floored, pattern_search_min
+from .optimize import LEVELS, floored, pattern_search_min
 from .rng import RngLike, make_rng
 
 MIDPOINT_CAP = 100_000
-_LEVELS = 8  # step-size levels of the refine's pattern search
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +166,10 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     so the returned depth never falls below the start's. Deterministic
     given the seed. :func:`resolve_engine` checks ``engine`` and ``budget``
     and resolves ``"auto"`` for the most points the search can probe,
-    1 + 4d(steps + 8): the start, then 4d probes per iteration, where at
-    most ``steps`` iterations move and one per step level fails.
+    1 + 4d(steps + LEVELS): the start, then 4d probes per iteration, where
+    at most ``steps`` iterations move and one per step size
+    (:data:`~halfspace.optimize.LEVELS`) fails. With ``steps=0`` the result
+    is the start and its score, one evaluation.
 
     Under the sampled engine the search minimizes
     :func:`_floored_neg_depth`, so a probe that cannot beat the incumbent
@@ -180,17 +181,14 @@ def median_refine(p: WeightedPointSet, start, engine: str = "auto", *,
     gen = make_rng(rng)
     start = as_point(start)
     merged = p.consolidate()
-    probe_evals = 1 + 4 * merged.dim * (steps + _LEVELS)
+    probe_evals = 1 + 4 * merged.dim * (steps + LEVELS)
     eng = resolve_engine(merged, probe_evals, engine, budget)
     if eng == "sampled":
-        scorer = _battery_scorer(merged, budget, gen)
-        depths, objective = scorer.scores, _floored_neg_depth(scorer)
+        objective = _floored_neg_depth(_battery_scorer(merged, budget, gen))
     else:
         depths = _exact_scorer(merged, eng)
         objective = lambda xs: -depths(xs)  # noqa: E731
     diameter = float(np.linalg.norm(np.ptp(merged.points, axis=0)))
-    if steps == 0:
-        return MedianResult(start, float(depths(start[None, :])[0]), 1, "refined")
     point, neg_depth, evals = pattern_search_min(
-        objective, start, initial_step=diameter / 4.0, rng=gen, levels=_LEVELS, max_moves=steps)
+        objective, start, initial_step=diameter / 4.0, rng=gen, max_moves=steps)
     return MedianResult(point, -neg_depth, evals, "refined")

@@ -19,7 +19,8 @@ import numpy as np
 
 from .depth import (_build_chunks, _half_turn_sweep, _project_atoms, _project_rows,
                     direction_battery, direction_lines, guard_resident, sorted_suffix)
-from .model import _MASS_UNIT, NamedDistribution, WeightedPointSet, as_point, mass_units, row_groups
+from .model import (_MASS_UNIT, ConfigError, NamedDistribution, WeightedPointSet, as_point,
+                    mass_units, row_groups)
 from .rng import RngLike, make_rng
 
 
@@ -328,7 +329,7 @@ _BREAKDOWN_ROUNDING = 4.0 * np.finfo(float).eps
 
 def _check_eps(eps: float):
     if not 0.0 <= eps < 1.0:
-        raise ValueError("corruption level must lie in [0, 1)")
+        raise ConfigError(f"corruption level must lie in [0, 1), got {eps!r}")
 
 
 def _inverse_or_breakdown(h: DecayProfile, arg: float) -> float:

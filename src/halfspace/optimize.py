@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 
+LEVELS = 8      # step sizes of one search
+SHRINK = 0.5    # each step size over the one before
+
 
 def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
-                       rng: np.random.Generator, levels: int = 8,
-                       shrink: float = 0.5, max_moves: int = 100,
+                       rng: np.random.Generator, max_moves: int = 100,
                        box: np.ndarray | None = None):
     """Minimize ``f`` from ``x0``.
 
@@ -25,7 +27,8 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
     clips every probe. The iteration moves to the first probe, in that order,
     whose value is the strict minimum below the current one, which is the
     move a probe-by-probe loop with strict-improvement acceptance would make;
-    the step halves once no probe improves.
+    the step shrinks by ``SHRINK`` once no probe improves, ``LEVELS`` step
+    sizes in all, with at most ``max_moves`` moves over all of them.
 
     Returns ``(x, f(x), evaluations)`` with ``f(x)`` a Python float and
     ``evaluations`` counting every probed point, the start included.
@@ -48,7 +51,7 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
     axes[1::2] *= -1.0                               # +e_0, -e_0, +e_1, ...
     step = float(initial_step) if initial_step > 0 else 1.0
     moves = 0
-    for _ in range(levels):
+    for _ in range(LEVELS):
         while moves < max_moves:
             raw = rng.standard_normal((2 * d, d))
             norms = np.linalg.norm(raw, axis=1)
@@ -63,7 +66,7 @@ def pattern_search_min(f, x0: np.ndarray, *, initial_step: float,
                 break
             x, fx = probes[best], float(values[best])
             moves += 1
-        step *= shrink
+        step *= SHRINK
     return x, fx, evals
 
 

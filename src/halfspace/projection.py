@@ -444,7 +444,7 @@ def project_estimate(p_hat: WeightedPointSet, family: TemplateFamily, *,
     for x0 in start_points:
         x, fx, evals = pattern_search_min(objective.floored(), np.asarray(x0, dtype=float),
                                           initial_step=diameter / 4.0, rng=gen,
-                                          levels=8, max_moves=steps, box=box)
+                                          max_moves=steps, box=box)
         total_evals += evals
         key = (fx, tuple(x))
         if best is None or key < best[0]:

@@ -996,6 +996,49 @@ class TestDirectionBlocks:
         assert sizes[:-1] == want[:-1] and 1 <= sizes[-1] <= want[-1]
 
 
+class TestAnchoredNormals:
+    """At d >= 4 each anchored normal of the battery is the first normal
+    ``_null_normals`` gives its subset alone, and every sampled subset of
+    distinct atoms keeps one."""
+
+    @staticmethod
+    def reference(base, k, difference):
+        vec = base[depth._subsets(len(base), k)]
+        if difference:
+            vec = vec[:, 1:] - vec[:, :1]
+        normals = np.array([depth._null_normals(m, base.shape[1])[0] for m in vec])
+        normals = normals[np.linalg.norm(normals, axis=1) > 1e-12]
+        return normals / np.linalg.norm(normals, axis=1)[:, None], vec
+
+    @pytest.mark.parametrize("anchor", ["offset", "difference"])
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_match_the_per_subset_null_normals(self, d, anchor):
+        # small integer atoms with a repeat and a collinear pair, and the
+        # offset query on an atom: many subsets fall below rank d - 1
+        pts = hs.make_rng(d).integers(-1, 2, size=(9, d)).astype(float)
+        pts[1], pts[2] = pts[0], 2.0 * pts[3]
+        mu = pts[4]
+        k = d - 1 if anchor == "offset" else d
+        base = pts - mu if anchor == "offset" else pts
+        want, vec = self.reference(base, k, anchor == "difference")
+        assert np.sum(np.linalg.matrix_rank(vec) < d - 1) > 0
+        budget = 128          # above C(9, k): every subset, in combinations order
+        battery = hs.direction_battery(pts, budget, hs.make_rng(0), anchor=anchor, mu=mu)
+        assert len(battery) == 2 * d + 2 * len(want) + budget
+        assert battery[2 * d:2 * d + len(want)].tobytes() == want.tobytes()
+        assert battery[2 * d + len(want):2 * d + 2 * len(want)].tobytes() == (-want).tobytes()
+
+    def test_every_sampled_subset_keeps_its_normal(self):
+        # above 4096 sampled subsets of distinct atoms, each of full rank
+        n, d, budget = 200, 4, 6000
+        pts = hs.make_rng(3).standard_normal((n, d))
+        idx = hs.make_rng(11).integers(0, n, size=(budget, d))
+        kept = sum(len(set(row)) == d for row in idx.tolist())
+        assert kept > 4096
+        battery = hs.direction_battery(pts, budget, hs.make_rng(11), anchor="difference")
+        assert len(battery) == 2 * d + 2 * kept + budget
+
+
 class TestBoundedScores:
     @staticmethod
     def setup_case(seed):

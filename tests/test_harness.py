@@ -66,6 +66,15 @@ class TestConfig:
         assert main(["sweep-bias", "--config", str(path), "--eps-grid", "0.1"]) == 2
         assert f"config field {field} " in capsys.readouterr().err
 
+    def test_decay_key_is_refused_as_unknown(self, tmp_path, capsys):
+        # the bound reads the template's or the population's decay profile
+        obj = json.loads((CONFIGS / "gaussian_adaptive.json").read_text())
+        obj["decay"] = hs.DecayProfile.gaussian(1.0).to_json_dict()
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(obj))
+        assert main(["sweep-bias", "--config", str(path), "--eps-grid", "0.1"]) == 2
+        assert "'decay'" in capsys.readouterr().err
+
     def test_bad_json_raises_config_error(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{\"estimator\": \"tukey\"}")
@@ -244,6 +253,33 @@ class TestCli:
         path.write_text(hs.square_distribution().atoms_absolute().to_csv())
         assert main([*argv, "--dist", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--model", "tv", "--d", "3", "--eps", "0.1", "--decay", "gaussian:abc"],
+        ["bounds", "--model", "tv", "--d", "3", "--eps", "0.1", "--decay", "gaussian:-1"],
+        ["bounds", "--model", "tv", "--d", "3", "--eps", "0.1", "--decay", "ball:1:x"],
+        ["bounds", "--model", "tv", "--d", "3", "--eps", "1.5", "--decay", "gaussian:1"],
+        ["sweep-bias", "--config", str(CONFIGS / "gaussian_planar.json"), "--eps-grid", "abc"],
+        ["sweep-scaling", "--config", str(CONFIGS / "gaussian_planar.json"), "--n-grid", "x"],
+        ["sweep-breakdown", "--estimator", "tukey", "--construction", "tetrahedron",
+         "--z-grid", "x"],
+        ["sweep-breakdown", "--estimator", "tukey", "--construction", "tetrahedron",
+         "--z-grid", "-5"],
+        ["sweep-breakdown", "--estimator", "tukey", "--construction", "ball_additive",
+         "--z-grid", "5", "--n", "0"],
+        ["attack", "--variant", "tetrahedron", "--z", "-1"],
+    ])
+    def test_bad_setting_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_runtime_failure_exits_1(self, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("no bound")
+        monkeypatch.setattr(hs.cli, "bias_bound_tv", fail)
+        assert main(["bounds", "--model", "tv", "--d", "3", "--eps", "0.1",
+                     "--decay", "gaussian:1"]) == 1
+        assert "error: no bound" in capsys.readouterr().err
 
     def test_median_above_the_scorer_memory_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hs.depth, "_RESIDENT_BYTES_CAP", 0)

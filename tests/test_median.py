@@ -195,6 +195,25 @@ class TestMedianRefine:
         r = hs.median_refine(p, np.array([0.1, 0.2, 0.0]), engine="oracle", steps=0, rng=0)
         assert np.array_equal(r.point, [0.1, 0.2, 0.0])
 
+    @pytest.mark.parametrize("engine, d", [("sampled", 3), ("sweep2d", 2), ("oracle", 3),
+                                           ("exact1d", 1)])
+    def test_zero_steps_return_the_start_and_its_full_score(self, engine, d):
+        # no probe is made: the start keeps its bits (a signed zero too), its
+        # score is the engine's full score, and it is the one evaluation
+        p = uniform(hs.make_rng(d).standard_normal((30, d)))
+        start = np.array([0.25, -0.0, 0.5][:d])
+        r = hs.median_refine(p, start, engine=engine, steps=0, budget=64, rng=5)
+        merged = p.consolidate()
+        if engine == "sampled":
+            want = _battery_scorer(merged, 64, hs.make_rng(5)).scores(start[None, :])[0]
+        elif engine == "sweep2d":
+            want = hs.depth_2d_sweep_many(merged, start[None, :])[0][0]
+        else:
+            want = hs.compute_depth(merged, start, engine=engine).value
+        assert r.point.tobytes() == start.tobytes()
+        assert np.float64(r.achieved_depth).tobytes() == np.float64(want).tobytes()
+        assert (r.candidate_count, r.engine) == (1, "refined")
+
 
 class TestEngineRequests:
     """Both searches check the engine request through ``resolve_engine``

@@ -85,7 +85,7 @@ CASES = [
     dict(x0=[3.0, 3.0, -3.0], initial_step=4.0, max_moves=25,
          box=np.array([[-1.0, 1.0], [-0.5, 2.0], [0.0, 0.0]])),
     dict(x0=[9.0, 9.0, 9.0], initial_step=1.0, max_moves=0),
-    dict(x0=[0.0, 0.0, 0.0], initial_step=0.0, max_moves=10, levels=3, shrink=0.25),
+    dict(x0=[0.0, 0.0, 0.0], initial_step=0.0, max_moves=10),
 ]
 
 
@@ -167,10 +167,9 @@ class TestIncumbentInvariant:
     cannot go below ``fx``) relies on."""
 
     @given(values=st.lists(VALUES, min_size=1, max_size=40), d=st.integers(1, 3),
-           seed=st.integers(0, 2 ** 32 - 1), levels=st.integers(1, 4),
-           max_moves=st.integers(0, 12))
+           seed=st.integers(0, 2 ** 32 - 1), max_moves=st.integers(0, 12))
     @settings(max_examples=200, deadline=None)
-    def test_fx_is_the_least_value_returned(self, values, d, seed, levels, max_moves):
+    def test_fx_is_the_least_value_returned(self, values, d, seed, max_moves):
         # the objective replays ``values`` cyclically, one per evaluated row,
         # and reads the caller's ``fx`` on every call
         returned = []
@@ -183,8 +182,7 @@ class TestIncumbentInvariant:
             return np.array(out)
 
         _, fx, evals = pattern_search_min(f, np.zeros(d), initial_step=1.0,
-                                          rng=np.random.default_rng(seed), levels=levels,
-                                          max_moves=max_moves)
+                                          rng=np.random.default_rng(seed), max_moves=max_moves)
         assert same_bits(fx, least(returned))
         assert evals == len(returned)
 
